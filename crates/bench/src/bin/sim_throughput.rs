@@ -21,22 +21,15 @@
 //! the same scenarios and machine class) so the speedup is a recorded
 //! fact in the same file.
 //!
-//! Every cell is also measured under the per-packet link pipeline
-//! (`LinkPipeline::PerPacket`, the pre-drain-train engine still in this
-//! binary), so the drain-train speedup is its own tracked column
-//! (`pipeline_speedup`); `events_processed` counts per-packet-equivalent
-//! events under either pipeline, so the two figures share a denominator
-//! and the per-cell event counts are hard-asserted equal.
-//!
 //! Each row also surfaces the engine's previously-hidden mechanism
 //! counters — `sched_peak_pending`, `sched_cascades`, `sched_overflow`,
-//! `txdone_coalesced`, `register_collisions` — so scheduler working-set
-//! and coalescing behavior are tracked alongside throughput.
+//! `register_collisions` — so scheduler working-set behavior is tracked
+//! alongside throughput.
 //!
 //! With `CONTRA_BENCH_REGRESSION_GATE` set (as CI does), the binary also
 //! measures every cell on the recorded baseline's engine — heap
-//! scheduler, per-packet pipeline, boxed switch dispatch and per-send
-//! transport effects, all still in this binary — and
+//! scheduler, boxed switch dispatch and per-send transport effects, all
+//! still in this binary — and
 //! exits nonzero when any cell regresses more than 10% below its
 //! recorded baseline *after rescaling the baseline by the measured
 //! machine speed* (geomean of heap-now / heap-recorded), or when the
@@ -49,21 +42,18 @@ use contra_baselines::{Ecmp, Hula, Sp};
 use contra_bench::{fast_mode, Scenario};
 use contra_dataplane::Contra;
 use contra_experiments::{run_cells, DispatchMode, Jobs, RunResult, SweepCell};
-use contra_sim::{CompileCache, LinkPipeline, RoutingSystem, SchedulerKind, Time};
+use contra_sim::{CompileCache, RoutingSystem, SchedulerKind, Time};
 use std::time::Instant;
 
 /// Pre-change baseline, events/sec, measured at the flat-hot-path engine
-/// before the timing-wheel event scheduler (PR 2, commit fd51bd8; that
-/// engine — `BinaryHeap` event queue, per-packet link pipeline, boxed
-/// switch dispatch, per-segment transport sends — is still runnable via
-/// `SchedulerKind::Heap` + `LinkPipeline::PerPacket` +
+/// before the timing-wheel event scheduler (commit fd51bd8; that
+/// engine — `BinaryHeap` event queue, boxed switch dispatch, per-segment
+/// transport sends — is still runnable via `SchedulerKind::Heap` +
 /// `DispatchMode::Dyn` + `burst_sends(false)`), with the same
 /// instrumentation and scenarios: `(mode, topology, system,
-/// events_per_sec)`. History: the PR 1 seed engine measured a 1.62x
-/// geomean *below* these numbers on the same machine class; PR 4
-/// recorded a 1.484x full-mode geomean *above* them (wheel scheduler,
-/// per-packet pipeline) — the drain-train pipeline is gauged against
-/// that recording (acceptance: ≥ 1.10× it).
+/// events_per_sec)`. History: the seed engine measured a 1.62x geomean
+/// *below* these numbers on the same machine class; the timing wheel
+/// recorded a 1.484x full-mode geomean *above* them.
 const BASELINE: &[(&str, &str, &str, f64)] = &[
     ("full", "leaf-spine(4,2,8)", "Contra", 6331488.4),
     ("full", "leaf-spine(4,2,8)", "Hula", 6706216.3),
@@ -150,12 +140,8 @@ struct Row {
     wall_secs: f64,
     events_per_sec: f64,
     baseline_eps: Option<f64>,
-    /// Same cell under the per-packet link pipeline (wheel scheduler) —
-    /// the drain-train speedup column.
-    perpkt_eps: f64,
-    /// Same cell under `SchedulerKind::Heap` + per-packet pipeline — the
-    /// recorded baseline's engine re-measured on *this* machine. Only
-    /// taken in gate mode.
+    /// Same cell under `SchedulerKind::Heap` — the recorded baseline's
+    /// engine re-measured on *this* machine. Only taken in gate mode.
     heap_eps: Option<f64>,
     /// Peak pending events in the scheduler — the wheel's working-set
     /// high-water mark, previously only visible in a debugger.
@@ -164,8 +150,6 @@ struct Row {
     sched_cascades: u64,
     /// Events parked in the wheel's overflow heap.
     sched_overflow: u64,
-    /// Serializer completions elided by the drain-train pipeline.
-    txdone_coalesced: u64,
     /// Flowlet + loop register-array collisions, summed over switches.
     register_collisions: u64,
 }
@@ -218,21 +202,10 @@ fn best_of(
 }
 
 fn main() {
-    // The env override rewires *every* simulator — including the
-    // explicit per-packet column and the gate's heap+perpkt oracle —
-    // onto one pipeline, which would silently record the wrong engine's
-    // numbers as the drain-train trajectory. Refuse to measure.
-    if LinkPipeline::from_env().is_some() {
-        eprintln!(
-            "sim_throughput: unset CONTRA_LINK_PIPELINE first — the override \
-             would collapse the pipeline columns and corrupt BENCH_sim.json"
-        );
-        std::process::exit(2);
-    }
-    // Same reasoning for the dispatch override: it would force every
-    // cell — including the measured rows — onto the boxed oracle and
-    // record the devirtualized engine's trajectory from the wrong
-    // engine. Refuse to measure.
+    // The dispatch override would force every cell — including the
+    // measured rows — onto the boxed oracle and record the
+    // devirtualized engine's trajectory from the wrong engine. Refuse to
+    // measure.
     if DispatchMode::from_env().is_some() {
         eprintln!(
             "sim_throughput: unset CONTRA_DISPATCH first — the override \
@@ -262,31 +235,16 @@ fn main() {
             let r = best_of(&scenario, system.as_ref(), &cache, reps);
             let eps = r.stats.events_processed as f64 / r.wall_secs.max(1e-12);
             let baseline_eps = baseline_for(mode, scenario.label(), &r.system);
-            // The same cell on the per-packet pipeline: the drain-train
-            // speedup column. `events_processed` is per-packet-equivalent
-            // under both pipelines, so the counts must agree exactly.
-            let p = best_of(
-                &scenario.clone().link_pipeline(LinkPipeline::PerPacket),
-                system.as_ref(),
-                &cache,
-                reps,
-            );
-            assert_eq!(
-                p.stats.events_processed, r.stats.events_processed,
-                "link pipelines must account identical event streams"
-            );
-            let perpkt_eps = p.stats.events_processed as f64 / p.wall_secs.max(1e-12);
             // Gate mode: re-measure the cell on the in-binary pre-change
-            // engine (heap scheduler, per-packet pipeline, boxed switch
-            // dispatch, one Send effect per packet — the stack the
-            // BASELINE constant was recorded on) to calibrate the
-            // recorded baseline to this machine's speed.
+            // engine (heap scheduler, boxed switch dispatch, one Send
+            // effect per packet — the stack the BASELINE constant was
+            // recorded on) to calibrate the recorded baseline to this
+            // machine's speed.
             let heap_eps = gate.then(|| {
                 let h = best_of(
                     &scenario
                         .clone()
                         .scheduler(SchedulerKind::Heap)
-                        .link_pipeline(LinkPipeline::PerPacket)
                         .dispatch(DispatchMode::Dyn)
                         .burst_sends(false),
                     system.as_ref(),
@@ -300,19 +258,18 @@ fn main() {
                 h.stats.events_processed as f64 / h.wall_secs.max(1e-12)
             });
             eprintln!(
-                "{:<20} {:<8} {:>9} events  {:>8.1} ms  {:>6.2} Mev/s  ({:.2}x perpkt){}{}",
+                "{:<20} {:<8} {:>9} events  {:>8.1} ms  {:>6.2} Mev/s{}{}",
                 scenario.label(),
                 r.system,
                 r.stats.events_processed,
                 r.wall_secs * 1e3,
                 eps / 1e6,
-                eps / perpkt_eps,
                 match baseline_eps {
                     Some(b) => format!("  ({:.2}x baseline)", eps / b),
                     None => String::new(),
                 },
                 match heap_eps {
-                    Some(h) => format!("  ({:.2}x same-run heap+perpkt)", eps / h),
+                    Some(h) => format!("  ({:.2}x same-run heap)", eps / h),
                     None => String::new(),
                 }
             );
@@ -323,12 +280,10 @@ fn main() {
                 wall_secs: r.wall_secs,
                 events_per_sec: eps,
                 baseline_eps,
-                perpkt_eps,
                 heap_eps,
                 sched_peak_pending: r.stats.sched_peak_pending,
                 sched_cascades: r.stats.sched_cascades,
                 sched_overflow: r.stats.sched_overflow,
-                txdone_coalesced: r.stats.txdone_coalesced,
                 register_collisions: r.stats.flowlet_collisions + r.stats.loop_collisions,
             });
         }
@@ -351,10 +306,8 @@ fn main() {
             "    {{\"topology\": \"{}\", \"system\": \"{}\", \"events\": {}, \
              \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \
              \"baseline_events_per_sec\": {}, \"speedup\": {}, \
-             \"perpkt_events_per_sec\": {:.1}, \"pipeline_speedup\": {:.3}, \
              {}\"sched_peak_pending\": {}, \"sched_cascades\": {}, \
-             \"sched_overflow\": {}, \"txdone_coalesced\": {}, \
-             \"register_collisions\": {}}}{}\n",
+             \"sched_overflow\": {}, \"register_collisions\": {}}}{}\n",
             r.topology,
             r.system,
             r.events,
@@ -366,8 +319,6 @@ fn main() {
             r.baseline_eps
                 .map(|b| format!("{:.3}", r.events_per_sec / b))
                 .unwrap_or_else(|| "null".into()),
-            r.perpkt_eps,
-            r.events_per_sec / r.perpkt_eps,
             // The oracle column is measured only in gate mode — the key
             // is omitted, not recorded as null, when absent.
             r.heap_eps
@@ -376,27 +327,16 @@ fn main() {
             r.sched_peak_pending,
             r.sched_cascades,
             r.sched_overflow,
-            r.txdone_coalesced,
             r.register_collisions,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    let pipeline_speedups: Vec<f64> = rows
-        .iter()
-        .map(|r| r.events_per_sec / r.perpkt_eps)
-        .collect();
-    let pipeline_geomean = (pipeline_speedups.iter().map(|s| s.ln()).sum::<f64>()
-        / pipeline_speedups.len().max(1) as f64)
-        .exp();
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"geomean_speedup\": {},\n",
+        "  \"geomean_speedup\": {}\n",
         geomean
             .map(|g| format!("{g:.3}"))
             .unwrap_or_else(|| "null".into())
-    ));
-    json.push_str(&format!(
-        "  \"geomean_pipeline_speedup\": {pipeline_geomean:.3}\n"
     ));
     json.push_str("}\n");
 
@@ -405,7 +345,6 @@ fn main() {
     if let Some(g) = geomean {
         eprintln!("geomean speedup over pre-change baseline: {g:.2}x");
     }
-    eprintln!("geomean drain-train speedup over per-packet pipeline: {pipeline_geomean:.2}x");
     eprintln!("wrote {out}");
 
     // ---- sweep-engine benchmark -----------------------------------------
@@ -476,7 +415,7 @@ fn main() {
         };
         eprintln!(
             "gate: machine factor {machine_factor:.2}x the baseline recording \
-             (heap + per-packet engine re-measured on this machine)"
+             (heap engine re-measured on this machine)"
         );
         let mut regressed: Vec<String> = Vec::new();
         for r in &rows {
@@ -496,7 +435,7 @@ fn main() {
             if let Some(h) = r.heap_eps {
                 if r.events_per_sec < 0.9 * h {
                     regressed.push(format!(
-                        "{} / {}: wheel+train {:.2} Mev/s vs same-run heap+perpkt {:.2} Mev/s ({:.0}%)",
+                        "{} / {}: wheel {:.2} Mev/s vs same-run heap {:.2} Mev/s ({:.0}%)",
                         r.topology,
                         r.system,
                         r.events_per_sec / 1e6,

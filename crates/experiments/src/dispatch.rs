@@ -9,9 +9,8 @@
 //! on a local discriminant instead of a virtual call through a fat
 //! pointer. Anything the downcasts don't recognize stays boxed in the
 //! [`SwitchDispatch::Dyn`] variant, which is also the differential
-//! oracle: `CONTRA_DISPATCH=dyn` (mirroring `CONTRA_LINK_PIPELINE`)
-//! forces every built-in through the boxed path, and the dispatch-parity
-//! tests prove both paths byte-identical.
+//! oracle: `CONTRA_DISPATCH=dyn` forces every built-in through the boxed
+//! path, and the dispatch-parity tests prove both paths byte-identical.
 
 use contra_baselines::{EcmpSwitch, HulaSwitch, SpSwitch, SpainSwitch};
 use contra_dataplane::ContraSwitch;

@@ -53,6 +53,4 @@ pub use sweep::{run_cells, CellCoords, Jobs, SweepCell, SweepSpec};
 // The whole experiment vocabulary in one import.
 pub use contra_baselines::{Ecmp, Hula, Sp, Spain};
 pub use contra_dataplane::Contra;
-pub use contra_sim::{
-    CompileCache, InstallCtx, InstallError, LinkPipeline, RoutingSystem, SchedulerKind,
-};
+pub use contra_sim::{CompileCache, InstallCtx, InstallError, RoutingSystem, SchedulerKind};

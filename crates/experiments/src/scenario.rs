@@ -11,8 +11,8 @@ use crate::fault::{ChaosSpec, FaultCmd, FaultPlan, FaultTarget};
 use crate::result::{Figures, RunResult, ScenarioInfo};
 use crate::sweep::{Jobs, SweepSpec};
 use contra_sim::{
-    CompileCache, FlowSpec, InstallCtx, InstallError, LinkPipeline, RoutingSystem, SchedulerKind,
-    SimConfig, Simulator, Time,
+    CompileCache, FlowSpec, InstallCtx, InstallError, RoutingSystem, SchedulerKind, SimConfig,
+    Simulator, Time,
 };
 use contra_topology::{generators, NodeId, Topology};
 use contra_workloads::{cache, poisson_flows, web_search, EmpiricalCdf, PairPolicy, WorkloadSpec};
@@ -110,7 +110,6 @@ pub struct Scenario {
     min_rto: Option<Time>,
     udp_bucket: Option<Time>,
     scheduler: SchedulerKind,
-    link_pipeline: LinkPipeline,
     dispatch: DispatchMode,
     burst_sends: Option<bool>,
     extra_flows: Vec<FlowSpec>,
@@ -148,7 +147,6 @@ impl Scenario {
             min_rto: None,
             udp_bucket: None,
             scheduler: SchedulerKind::default(),
-            link_pipeline: LinkPipeline::default(),
             dispatch: DispatchMode::default(),
             burst_sends: None,
             extra_flows: Vec::new(),
@@ -320,7 +318,7 @@ impl Scenario {
     }
 
     /// Fails the named node at `at`: every incident link goes down
-    /// atomically, flushing queues and committed trains.
+    /// atomically, flushing their queues.
     pub fn fail_node(mut self, node: impl Into<String>, at: Time) -> Scenario {
         self.faults.push(FaultCmd {
             at,
@@ -426,23 +424,12 @@ impl Scenario {
         self
     }
 
-    /// Selects the engine's link pipeline (default: drain trains). Both
-    /// pipelines produce identical statistics; the per-packet variant
-    /// remains as a differential oracle — see the pipeline-parity test
-    /// suite. The `CONTRA_LINK_PIPELINE` env var overrides whatever is
-    /// set here at simulator construction (mirroring `CONTRA_JOBS`).
-    pub fn link_pipeline(mut self, pipeline: LinkPipeline) -> Scenario {
-        self.link_pipeline = pipeline;
-        self
-    }
-
     /// Selects the switch-logic dispatch strategy (default:
     /// [`DispatchMode::Enum`], which repacks the installed boxes into
     /// [`SwitchDispatch`]'s inline variants). Both modes produce
     /// byte-identical results; the boxed path remains as a differential
     /// oracle — see the dispatch-parity test suite. The `CONTRA_DISPATCH`
-    /// env var overrides whatever is set here at run time (mirroring
-    /// `CONTRA_LINK_PIPELINE`).
+    /// env var overrides whatever is set here at run time.
     pub fn dispatch(mut self, mode: DispatchMode) -> Scenario {
         self.dispatch = mode;
         self
@@ -574,12 +561,24 @@ impl Scenario {
             .unwrap_or_else(|e| panic!("installing {}: {e}", system.name()))
     }
 
-    /// Fallible form of [`Scenario::run_cached`].
+    /// Fallible form of [`Scenario::run_cached`]. A zero
+    /// [`Scenario::queue_sampling`], [`Scenario::util_tau`] or
+    /// [`Scenario::udp_bucket`] is rejected as
+    /// [`InstallError::ZeroInterval`] before the simulator is built.
     pub fn try_run_cached(
         &self,
         system: &dyn RoutingSystem,
         cache: &CompileCache,
     ) -> Result<RunResult, InstallError> {
+        for (setting, every) in [
+            ("queue_sampling", self.queue_sampling),
+            ("util_tau", self.util_tau),
+            ("udp_bucket", self.udp_bucket),
+        ] {
+            if every == Some(Time::ZERO) {
+                return Err(InstallError::ZeroInterval { setting });
+            }
+        }
         let topo = &self.topology;
         // Chaos processes expand here, before the simulator exists: the
         // run consumes only the explicit list, so a replay (same
@@ -593,7 +592,6 @@ impl Scenario {
             queue_sample_every: self.queue_sampling,
             trace_paths: self.trace_paths,
             scheduler: self.scheduler,
-            link_pipeline: self.link_pipeline,
             ..SimConfig::default()
         };
         if let Some(burst) = self.burst_sends {

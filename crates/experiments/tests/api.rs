@@ -3,7 +3,8 @@
 //! scenarios the old `DcExperiment`/`WanExperiment` tests covered.
 
 use contra_experiments::{
-    CompileCache, Contra, Ecmp, Hula, InstallError, RoutingSystem, Scenario, Sp, Spain, Workload,
+    CompileCache, Contra, Ecmp, Hula, InstallError, RoutingSystem, Scenario, Sp, Spain, Traffic,
+    Workload,
 };
 use contra_sim::Time;
 
@@ -18,6 +19,58 @@ fn hula_is_unsupported_on_wan_topologies() {
             assert!(reason.contains("leaf-spine"), "{reason}");
         }
         other => panic!("expected Unsupported, got: {other}"),
+    }
+}
+
+/// Zero intervals are rejected before the simulator exists. Regression:
+/// a zero queue-sampling period re-posted its sample at the same instant
+/// forever, so the run never finished.
+#[test]
+fn zero_queue_sampling_is_a_typed_error() {
+    let s = small_dc()
+        .traffic(Traffic::None)
+        .duration(Time::ZERO)
+        .drain(Time::us(10))
+        .queue_sampling(Time::ZERO);
+    match s.try_run(&Ecmp).unwrap_err() {
+        InstallError::ZeroInterval { setting } => assert_eq!(setting, "queue_sampling"),
+        other => panic!("expected ZeroInterval, got: {other}"),
+    }
+    // The smallest positive period still runs.
+    let r = s.queue_sampling(Time::ns(1)).run(&Ecmp);
+    assert!(!r.stats.queue_samples.is_empty());
+}
+
+/// Regression: a zero estimator window panicked inside the link layer
+/// ("estimator window must be positive").
+#[test]
+fn zero_util_tau_is_a_typed_error() {
+    let err = small_dc()
+        .util_tau(Time::ZERO)
+        .try_run(&Contra::dc())
+        .unwrap_err();
+    match err {
+        InstallError::ZeroInterval { setting } => assert_eq!(setting, "util_tau"),
+        other => panic!("expected ZeroInterval, got: {other}"),
+    }
+}
+
+/// Regression: a zero UDP bucket divided by zero when buckets were
+/// converted to Gbps.
+#[test]
+fn zero_udp_bucket_is_a_typed_error() {
+    let err = small_dc()
+        .udp(1e9)
+        .udp_bucket(Time::ZERO)
+        .try_run(&Ecmp)
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "udp_bucket must be a positive interval, not 0"
+    );
+    match err {
+        InstallError::ZeroInterval { setting } => assert_eq!(setting, "udp_bucket"),
+        other => panic!("expected ZeroInterval, got: {other}"),
     }
 }
 

@@ -13,12 +13,12 @@
 //!
 //! These tests pin both equivalences end to end over every built-in
 //! system on the §6.3 leaf-spine, a fat-tree(4) and the §6.4 Abilene
-//! WAN, under both link pipelines.
+//! WAN.
 
 use contra_experiments::{
     Contra, DispatchMode, Ecmp, Hula, RoutingSystem, RunResult, Scenario, Sp, Spain,
 };
-use contra_sim::{LinkPipeline, Time, MSS};
+use contra_sim::{Time, MSS};
 
 /// Every behavioral output the parity contract names, floats as exact
 /// bit patterns so "close" never passes for "equal".
@@ -54,8 +54,8 @@ fn fingerprint(r: &RunResult) -> String {
     out
 }
 
-/// Runs one scenario under enum and forced-dyn dispatch, on both link
-/// pipelines, and requires bit-equal fingerprints per pipeline.
+/// Runs one scenario under enum and forced-dyn dispatch and requires
+/// bit-equal fingerprints.
 fn assert_dispatch_parity(scenario: &Scenario, system: &dyn RoutingSystem) {
     if DispatchMode::from_env().is_some() {
         // The env override rewires both sides onto one dispatch path,
@@ -64,39 +64,21 @@ fn assert_dispatch_parity(scenario: &Scenario, system: &dyn RoutingSystem) {
         eprintln!("skipped: CONTRA_DISPATCH override active");
         return;
     }
-    // Under a CONTRA_LINK_PIPELINE override both pipeline arms collapse
-    // onto one pipeline; the dispatch comparison itself stays meaningful,
-    // so run it once instead of twice.
-    let pipelines: &[LinkPipeline] = if LinkPipeline::from_env().is_some() {
-        &[LinkPipeline::Train]
-    } else {
-        &[LinkPipeline::Train, LinkPipeline::PerPacket]
-    };
-    for &pipe in pipelines {
-        let enum_run = scenario
-            .clone()
-            .link_pipeline(pipe)
-            .dispatch(DispatchMode::Enum)
-            .run(system);
-        let dyn_run = scenario
-            .clone()
-            .link_pipeline(pipe)
-            .dispatch(DispatchMode::Dyn)
-            .run(system);
-        assert!(
-            enum_run.stats.delivered_packets > 0,
-            "{} moved no traffic on {} — the comparison would be vacuous",
-            system.name(),
-            enum_run.scenario.scenario,
-        );
-        assert_eq!(
-            fingerprint(&enum_run),
-            fingerprint(&dyn_run),
-            "dispatch paths diverged for {} under {} ({pipe:?})",
-            enum_run.scenario.scenario,
-            system.name()
-        );
-    }
+    let enum_run = scenario.clone().dispatch(DispatchMode::Enum).run(system);
+    let dyn_run = scenario.clone().dispatch(DispatchMode::Dyn).run(system);
+    assert!(
+        enum_run.stats.delivered_packets > 0,
+        "{} moved no traffic on {} — the comparison would be vacuous",
+        system.name(),
+        enum_run.scenario.scenario,
+    );
+    assert_eq!(
+        fingerprint(&enum_run),
+        fingerprint(&dyn_run),
+        "dispatch paths diverged for {} under {}",
+        enum_run.scenario.scenario,
+        system.name()
+    );
 }
 
 /// Short §6.3 leaf-spine cell.

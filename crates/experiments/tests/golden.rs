@@ -12,14 +12,13 @@
 //! preserves the engine's total order exactly), with only the
 //! `p50=`/`p99=` fields re-recorded for PR 3's documented percentile fix
 //! (`round((p/100)·(n-1))` → ceil-based nearest rank; mean, completion,
-//! drops, wire bytes and delivery counts did not move). PR 5 (drain-train
-//! link pipeline) changed the same-instant tie-break from push order to
-//! the pipeline-invariant `(class, key)` order — arrivals by directed
-//! link, completions last — which shifted four DC-scale cells (WAN cells
-//! and every drop/delivery count on leaf-spine survived unchanged; only
-//! sub-percent FCT means and wire-byte totals moved). Both link
-//! pipelines produce these exact fingerprints — see
-//! `tests/pipeline_parity.rs`.
+//! drops, wire bytes and delivery counts did not move). The same-instant
+//! tie-break later moved from push order to the `(class, key)` order —
+//! arrivals by directed link, completions last — which shifted four
+//! DC-scale cells (WAN cells and every drop/delivery count on leaf-spine
+//! survived unchanged; only sub-percent FCT means and wire-byte totals
+//! moved). Removing the drain-train link pipeline, which those
+//! fingerprints were also pinned against, moved none of them.
 //!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //! `CONTRA_GOLDEN_PRINT=1 cargo test -p contra-experiments --test golden -- --nocapture`

@@ -7,33 +7,15 @@
 //! mesh), so Hula gets the *same flap shape* on the §6.3 fabric instead
 //! — the point is the telemetry contract, not the topology.
 //!
-//! Every run is repeated under both link pipelines × both schedulers and
-//! must agree byte for byte, fault epochs included.
+//! Every run is repeated under both schedulers and must agree byte for
+//! byte, fault epochs included.
 
 use contra_experiments::{
-    Contra, FaultPlan, Hula, Jobs, LinkPipeline, RoutingSystem, Scenario, SchedulerKind, SweepSpec,
-    Traffic,
+    Contra, FaultPlan, Hula, Jobs, RoutingSystem, Scenario, SchedulerKind, SweepSpec, Traffic,
 };
 use contra_sim::{FlowSpec, SimStats, Time};
 
-fn configs() -> [(LinkPipeline, SchedulerKind); 4] {
-    [
-        (LinkPipeline::Train, SchedulerKind::Wheel),
-        (LinkPipeline::Train, SchedulerKind::Heap),
-        (LinkPipeline::PerPacket, SchedulerKind::Wheel),
-        (LinkPipeline::PerPacket, SchedulerKind::Heap),
-    ]
-}
-
-/// The 4-config differential is vacuous when `CONTRA_LINK_PIPELINE`
-/// rewires both sides onto one pipeline.
-fn env_override() -> bool {
-    if LinkPipeline::from_env().is_some() {
-        eprintln!("skipped: CONTRA_LINK_PIPELINE override active");
-        return true;
-    }
-    false
-}
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Wheel, SchedulerKind::Heap];
 
 fn fingerprint(s: &SimStats) -> String {
     format!(
@@ -71,16 +53,12 @@ fn abilene_flap(down: Time, up: Time, stop: Time) -> Scenario {
 
 #[test]
 fn contra_reconverges_on_abilene_flap() {
-    if env_override() {
-        return;
-    }
     let (down, up) = (Time::ms(20), Time::ms(28));
     let contra = Contra::dc();
     let mut prints = Vec::new();
     let mut last_disruption = None;
-    for (pipeline, scheduler) in configs() {
+    for scheduler in SCHEDULERS {
         let r = abilene_flap(down, up, Time::ms(50))
-            .link_pipeline(pipeline)
             .scheduler(scheduler)
             .run(&contra);
         let epochs = &r.stats.fault_epochs;
@@ -110,7 +88,7 @@ fn contra_reconverges_on_abilene_flap() {
     }
     assert!(
         prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
+        "schedulers disagree: {prints:#?}"
     );
 
     // The telemetry claims the last disruption drop happened at exactly
@@ -136,13 +114,10 @@ fn contra_reconverges_on_abilene_flap() {
 /// disruption stays inside the flap window.
 #[test]
 fn hula_reconverges_on_leaf_spine_flap() {
-    if env_override() {
-        return;
-    }
     let (down, up) = (Time::ms(5), Time::ms(8));
     let hula = Hula::default();
     let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
+    for scheduler in SCHEDULERS {
         let r = Scenario::leaf_spine(4, 2, 2)
             .udp(4e9)
             .duration(Time::ms(12))
@@ -150,7 +125,6 @@ fn hula_reconverges_on_leaf_spine_flap() {
             .drain(Time::ms(2))
             .fail_link("leaf0", "spine0", down)
             .recover_link("leaf0", "spine0", up)
-            .link_pipeline(pipeline)
             .scheduler(scheduler)
             .run(&hula);
         let epochs = &r.stats.fault_epochs;
@@ -168,7 +142,7 @@ fn hula_reconverges_on_leaf_spine_flap() {
     }
     assert!(
         prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
+        "schedulers disagree: {prints:#?}"
     );
 }
 

@@ -1,6 +1,5 @@
 //! [`SimConfig`]: everything a [`crate::Simulator`] is parameterized by.
 
-use crate::link::LinkPipeline;
 use crate::packet::{HDR_BYTES, MSS};
 use crate::recorder::TelemetryConfig;
 use crate::sched::SchedulerKind;
@@ -40,11 +39,6 @@ pub struct SimConfig {
     /// outputs — the heap is kept as a differential oracle and an escape
     /// hatch.
     pub scheduler: SchedulerKind,
-    /// Which link pipeline serializes packets. [`LinkPipeline::Train`]
-    /// (default) and [`LinkPipeline::PerPacket`] produce identical
-    /// statistics; the `CONTRA_LINK_PIPELINE` env var overrides this at
-    /// construction (mirroring `CONTRA_JOBS`).
-    pub link_pipeline: LinkPipeline,
     /// Emit window-opening TCP sends as one described
     /// [`crate::transport::TransportEffect::SendBurst`] per handler
     /// (default) instead of one `Send` effect per packet. Both settings
@@ -83,7 +77,6 @@ impl Default for SimConfig {
             udp_bucket: Time::ms(1),
             trace_paths: false,
             scheduler: SchedulerKind::default(),
-            link_pipeline: LinkPipeline::default(),
             burst_sends: true,
             audit: cfg!(debug_assertions),
             telemetry: None,

@@ -4,7 +4,7 @@
 //! domain logic lives in the layer modules it composes:
 //!
 //! * [`crate::sched`] — the event queue (timing wheel / heap oracle).
-//! * [`crate::link`] — serializers, drop-tail queues, drain trains.
+//! * [`crate::link`] — serializers and drop-tail queues.
 //! * [`crate::transport`] — the TCP/UDP host endpoints.
 //! * [`crate::switch`] — pluggable per-switch dataplane logic.
 //! * [`crate::trace`] — the opt-in per-packet path side table.
@@ -15,8 +15,7 @@
 //! serializer completions last — see [`crate::sched`]), all randomness
 //! comes from seeded generators in the workload layer, and switch logic
 //! runs strictly one event at a time. The same inputs always produce
-//! byte-identical statistics, under either scheduler and either link
-//! pipeline.
+//! byte-identical statistics, under either scheduler.
 
 use crate::config::SimConfig;
 use crate::fault::{Auditor, FaultError};
@@ -52,17 +51,14 @@ enum Event {
     /// `from`. The packet itself sits in the engine's slab
     /// ([`PacketPool`], addressed by `pkt`/`gen`) so heap entries stay a
     /// few words wide — sift-up/down copies every entry it touches,
-    /// which made inline packets the single biggest per-event cost. A
-    /// stale generation marks an arrival cancelled by a link failure
-    /// mid-train.
+    /// which made inline packets the single biggest per-event cost.
     Arrive {
         node: NodeId,
         from: NodeId,
         pkt: u32,
         gen: u32,
     },
-    /// Link serializer finished a packet — under the drain-train
-    /// pipeline, the *last* packet of a committed train.
+    /// Link serializer finished a packet.
     TxDone { link: LinkId, epoch: u64 },
     /// Periodic switch timer.
     Tick { node: NodeId },
@@ -83,7 +79,7 @@ enum Event {
     /// Bring both directions back up.
     LinkUp { a: NodeId, b: NodeId },
     /// Fail a node: atomically take down every incident link (both
-    /// directions), flushing their queues and trains.
+    /// directions), flushing their queues.
     NodeDown { node: NodeId },
     /// Recover a node: bring every incident link back up.
     NodeUp { node: NodeId },
@@ -148,12 +144,9 @@ pub struct SimCore<L: SwitchLogic> {
 impl<L: SwitchLogic> SimCore<L> {
     /// Creates a simulator over a topology. Accepts an owned [`Topology`]
     /// or an `Arc<Topology>`; sweeps pass the latter so every cell shares
-    /// one allocation. The `CONTRA_LINK_PIPELINE` env var, when set,
-    /// overrides `cfg.link_pipeline` here.
-    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, cfg: SimConfig) -> SimCore<L> {
+    /// one allocation.
+    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, mut cfg: SimConfig) -> SimCore<L> {
         let topo = topo.into();
-        let mut cfg = cfg;
-        cfg.link_pipeline = cfg.link_pipeline.or_env();
         if let Some(audit) = crate::config::audit_from_env() {
             cfg.audit = audit;
         }
@@ -376,7 +369,7 @@ impl<L: SwitchLogic> SimCore<L> {
     }
 
     /// Schedules a node failure: every incident link (both directions)
-    /// goes down atomically at `at`, flushing queues and trains.
+    /// goes down atomically at `at`, flushing queues.
     pub fn try_fail_node_at(&mut self, node: NodeId, at: Time) -> Result<(), FaultError> {
         self.check_node(node)?;
         self.push(at, Event::NodeDown { node });
@@ -428,13 +421,12 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// Schedules an arrival, keyed by the directed link it traverses:
     /// same-instant arrivals on different links pop in link order — a
-    /// property of the schedule itself, identical under both link
-    /// pipelines regardless of when the events were pushed. Within one
-    /// busy period same-link arrivals can never tie (serialization
-    /// separates them), but across a down/up flap a pre-failure
-    /// in-flight arrival can land at the same instant as a post-recovery
-    /// one; the scheduler breaks that tie by push order, which on one
-    /// link is serialization order under either pipeline.
+    /// property of the schedule itself, not of when the events were
+    /// pushed. Within one busy period same-link arrivals can never tie
+    /// (serialization separates them), but across a down/up flap a
+    /// pre-failure in-flight arrival can land at the same instant as a
+    /// post-recovery one; the scheduler breaks that tie by push order,
+    /// which on one link is serialization order.
     fn push_arrival(&mut self, at: Time, lid: LinkId, ev: Event) {
         if at > self.cfg.stop_at {
             return;
@@ -443,9 +435,11 @@ impl<L: SwitchLogic> SimCore<L> {
     }
 
     /// Schedules a serializer completion, sorting after every other
-    /// event at its instant: observers at a packet boundary see the
-    /// boundary as not yet crossed — the order the drain-train
-    /// pipeline's lazy fold reproduces without the event.
+    /// event at its instant: an observer at a packet boundary (a queue
+    /// sample, a probe reading utilization, a failure) sees the next
+    /// packet as still queued, whatever order the events were pushed
+    /// in, because its serialization starts only when this completion
+    /// pops.
     fn push_completion(&mut self, at: Time, ev: Event) {
         if at > self.cfg.stop_at {
             return;
@@ -579,8 +573,7 @@ impl<L: SwitchLogic> SimCore<L> {
             Event::QueueSample => {
                 // Fabric links only (switch → switch), precomputed once.
                 for &i in &self.fabric_links {
-                    let link = &mut self.links[i as usize];
-                    link.sync(self.now);
+                    let link = &self.links[i as usize];
                     // Bounded retention: sampling (and the event
                     // schedule) continues past the cap, overflow is
                     // counted instead of stored.
@@ -674,8 +667,8 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// A node fault event fires: every incident directed link (in link
     /// index order, for determinism) transitions idempotently — a node
-    /// failure atomically downs all incident links, flushing queues and
-    /// trains exactly as the per-cable path does.
+    /// failure atomically downs all incident links, flushing queues
+    /// exactly as the per-cable path does.
     fn on_node_fault(&mut self, node: NodeId, down: bool) {
         let incident: Vec<LinkId> = (0..self.links.len() as u32)
             .map(LinkId)
@@ -710,21 +703,15 @@ impl<L: SwitchLogic> SimCore<L> {
         }
     }
 
-    /// Runs the invariant auditor, when enabled: syncs every link to the
-    /// current instant (observationally neutral — the lazy train fold is
-    /// idempotent) and checks conservation, occupancy and leak freedom.
-    fn audit_check(&mut self, phase: &str) {
-        if self.audit.is_none() {
+    /// Runs the invariant auditor, when enabled: checks conservation,
+    /// occupancy and leak freedom.
+    fn audit_check(&self, phase: &str) {
+        let Some(aud) = self.audit.as_deref() else {
             return;
-        }
-        let now = self.now;
-        for link in &mut self.links {
-            link.sync(now);
-        }
-        let aud = self.audit.as_deref().expect("checked above");
+        };
         aud.verify(
             phase,
-            now,
+            self.now,
             &self.links,
             &self.pool,
             &self.traces,
@@ -765,13 +752,7 @@ impl<L: SwitchLogic> SimCore<L> {
     // ---- switch dispatch ----------------------------------------------
 
     fn on_arrive(&mut self, node: NodeId, from: NodeId, slot: u32, gen: u32) {
-        let Some(pkt) = self.pool.take(slot, gen) else {
-            // Cancelled mid-train by a link failure. The per-packet
-            // pipeline never scheduled this arrival, so un-count the pop
-            // (`events_processed` stays pipeline-invariant).
-            self.stats.events_processed -= 1;
-            return;
-        };
+        let pkt = self.pool.take(slot, gen);
         if let Some(aud) = self.audit.as_deref_mut() {
             aud.taken += 1;
         }
@@ -931,17 +912,14 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// Takes one metric sample at the current instant: fabric-link
     /// utilization and queue depth, cumulative drops by reason,
-    /// per-switch control-plane churn, and engine counters. Syncing a
-    /// link to `now` is observationally neutral (the lazy train fold is
-    /// idempotent — same argument as [`Simulator::audit_check`]).
+    /// per-switch control-plane churn, and engine counters.
     fn telem_sample(&mut self) {
         let now = self.now;
         let Some(rec) = self.telem.as_deref_mut() else {
             return;
         };
         for &i in &self.fabric_links {
-            let link = &mut self.links[i as usize];
-            link.sync(now);
+            let link = &self.links[i as usize];
             rec.sample_link(now, i, link.utilization(now), link.queued_bytes());
         }
         rec.sample_drops(now, &self.stats);

@@ -14,10 +14,10 @@
 //!
 //! * **Packet conservation** — every packet offered to a link is either
 //!   taken at its arrival, lost to an accounted drop, in the packet
-//!   pool (on the wire or committed to a train), or sitting in a link
-//!   queue. `offered = taken + lost + pool + queued`, at every instant.
+//!   pool (on the wire), or sitting in a link queue.
+//!   `offered = taken + lost + pool + queued`, at every instant.
 //! * **Queue occupancy** — per link, `queued_bytes` both matches the
-//!   sum of queued/pending packet sizes and stays within `qcap_bytes`.
+//!   sum of queued packet sizes and stays within `qcap_bytes`.
 //! * **Pool leak freedom** (end of run) — the only packets left in the
 //!   pool are those whose arrival was scheduled past `stop_at` (the
 //!   engine never enqueues such events, so they are stranded by
@@ -75,18 +75,17 @@ pub(crate) struct Auditor {
     /// Arrivals realized (successful pool takes).
     pub(crate) taken: u64,
     /// Packets lost on a link leg: TTL death, missing link, enqueue
-    /// rejection, failure flush, cancelled train entry.
+    /// rejection, failure flush.
     pub(crate) lost: u64,
     /// Pool entries whose scheduled arrival lies past `stop_at` — the
     /// engine never enqueues those events, so the packets legitimately
     /// remain in the pool at end of run.
-    pub(crate) stop_cut: i64,
+    pub(crate) stop_cut: u64,
 }
 
 impl Auditor {
-    /// Checks every invariant the current state can express. `links`
-    /// must be synced to `now` first so pending-train side effects are
-    /// folded. Panics with a diagnostic on any violation.
+    /// Checks every invariant the current state can express. Panics
+    /// with a diagnostic on any violation.
     pub(crate) fn verify(
         &self,
         phase: &str,
@@ -98,11 +97,7 @@ impl Auditor {
     ) {
         let mut queued = 0u64;
         for (i, link) in links.iter().enumerate() {
-            let bytes: u64 = link
-                .audit_queue()
-                .map(|p| p.size_bytes as u64)
-                .chain(link.audit_pending().map(|p| p.size as u64))
-                .sum();
+            let bytes: u64 = link.audit_queue().map(|p| p.size_bytes as u64).sum();
             assert!(
                 bytes == link.queued_bytes() as u64,
                 "audit[{phase}] at {now}: link {i} queued_bytes={} but packets sum to {bytes}",
@@ -126,12 +121,11 @@ impl Auditor {
             self.lost,
         );
         if end_of_run {
-            assert!(self.stop_cut >= 0, "audit[{phase}]: stop_cut underflow");
             assert!(
-                in_pool == self.stop_cut as u64,
+                in_pool == self.stop_cut,
                 "audit[{phase}] at {now}: packet pool leaks {} entries \
                  ({in_pool} live, {} stranded past stop_at)",
-                in_pool as i64 - self.stop_cut,
+                in_pool as i64 - self.stop_cut as i64,
                 self.stop_cut,
             );
         }

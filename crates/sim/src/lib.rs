@@ -26,9 +26,8 @@
 //! the original binary heap behind `SimConfig::scheduler` — is totally
 //! ordered by (time, class-encoded key); there is no hidden randomness.
 //! The same inputs give identical results on every run, under either
-//! scheduler and either link pipeline — properties the test suite checks
-//! (see `tests/sched_diff.rs` for the scheduler equivalence and the
-//! experiments crate's `pipeline_parity.rs` for the link pipelines).
+//! scheduler — a property the test suite checks (see
+//! `tests/sched_diff.rs`).
 //!
 //! The crate is layered (PR 5): [`sched`] (event order), [`link`]
 //! (serializers and queues), [`transport`] (host endpoints), [`switch`]
@@ -55,7 +54,7 @@ pub use config::SimConfig;
 pub use engine::{RunOutput, SimCore, Simulator};
 pub use fault::FaultError;
 pub use fx::{fx_mix64, FxBuildHasher, FxHashMap, FxHasher64};
-pub use link::{DropReason, LinkPipeline, LinkState, UtilEstimator};
+pub use link::{DropReason, LinkState, UtilEstimator};
 pub use packet::{
     flow_hash, FlowId, Packet, PacketKind, Probe, HDR_BYTES, INITIAL_TTL, MSS, PROBE_BASE_BYTES,
 };

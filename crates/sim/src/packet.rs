@@ -105,11 +105,11 @@ impl Packet {
 /// Slots are recycled LIFO, so the working set stays cache-resident.
 ///
 /// Each slot carries a **generation** counter, bumped on every release:
-/// an arrival event addresses `(slot, gen)`, so when a link failure
-/// cancels a committed drain-train packet (releasing its slot early),
-/// the packet's already-scheduled arrival dereferences a stale
-/// generation and is recognized as cancelled — even if the slot has been
-/// reused since.
+/// an arrival event addresses `(slot, gen)`. Every scheduled arrival owns
+/// its packet's slot exactly once — nothing cancels an arrival, not even
+/// a link failure, which only drops packets still queued — so a stale
+/// generation is an engine bug and [`PacketPool::take`] panics on it,
+/// even if the slot has been reused since.
 #[derive(Debug, Default)]
 pub(crate) struct PacketPool {
     /// Generation lives beside its packet so a take touches one slot,
@@ -136,25 +136,26 @@ impl PacketPool {
         }
     }
 
-    /// Removes and returns the packet behind a handle, or `None` when the
-    /// handle is stale (the packet was cancelled by a link failure).
+    /// Removes and returns the packet behind a handle.
+    ///
+    /// # Panics
+    ///
+    /// On a stale handle: every scheduled arrival is taken exactly once,
+    /// so a second take (or one from before the slot was recycled) means
+    /// the engine scheduled an arrival twice.
     #[inline]
-    pub(crate) fn take(&mut self, slot: u32, gen: u32) -> Option<Packet> {
+    pub(crate) fn take(&mut self, slot: u32, gen: u32) -> Packet {
         let s = &mut self.slots[slot as usize];
-        if s.0 != gen {
-            return None;
-        }
+        assert!(
+            s.0 == gen,
+            "packet pool: stale arrival handle (slot {slot}, gen {gen}, live gen {}) — \
+             every scheduled arrival must take its packet exactly once",
+            s.0
+        );
         let pkt = s.1.take().expect("packet slot is live");
         s.0 = s.0.wrapping_add(1);
         self.free.push(slot);
-        Some(pkt)
-    }
-
-    /// Cancels a live handle (failure path), returning the packet so the
-    /// caller can account the drop. The handle must be current.
-    pub(crate) fn cancel(&mut self, slot: u32, gen: u32) -> Packet {
-        self.take(slot, gen)
-            .expect("cancelled train entry is live exactly once")
+        pkt
     }
 
     /// Number of live packets (auditor view; off the hot path, so a scan
@@ -218,6 +219,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every scheduled arrival must take its packet exactly once")]
+    fn stale_pool_handle_panics() {
+        let mut pool = PacketPool::default();
+        let p = Packet {
+            id: 0,
+            kind: PacketKind::Udp,
+            src_host: NodeId(0),
+            dst_host: NodeId(1),
+            dst_switch: NodeId(1),
+            flow: FlowId(0),
+            seq: 0,
+            size_bytes: 100,
+            sent_at: Time::ZERO,
+            tag: 0,
+            pid: 0,
+            ttl: INITIAL_TTL,
+            flow_hash: 0,
+        };
+        let (slot, gen) = pool.insert(p.clone());
+        assert_eq!(pool.take(slot, gen), p);
+        // The slot is recycled under a new generation; the old handle
+        // must not reach the new occupant.
+        assert_eq!(pool.insert(p), (slot, gen + 1));
+        pool.take(slot, gen);
     }
 
     #[test]

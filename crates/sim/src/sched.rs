@@ -7,23 +7,19 @@
 //!
 //! * **Arrivals** ([`EventQueue::push_at_key`], key < 2^30, with the
 //!   push counter appended in the low bits) carry a caller-chosen key —
-//!   the engine uses the directed link index, which
-//!   is *pipeline-invariant*: two packets can never finish the same
-//!   link's serializer at the same instant, so same-instant arrivals on
-//!   different links order by a property of the schedule itself rather
-//!   than by when their events happened to be pushed. That is what lets
-//!   the drain-train link pipeline (which pushes a whole train's
-//!   arrivals at commit time) pop in exactly the per-packet pipeline's
-//!   order.
+//!   the engine uses the directed link index: two packets can never
+//!   finish the same link's serializer at the same instant, so
+//!   same-instant arrivals on different links order by a property of
+//!   the schedule itself rather than by when their events happened to
+//!   be pushed.
 //! * **Timers** ([`EventQueue::push`], class 1) order by the monotone
 //!   push counter — same-instant timers drain in push order, as before.
 //! * **Serializer completions** ([`EventQueue::push_last`], class 2)
 //!   sort after everything else at their instant: an observer at a
-//!   packet boundary sees the boundary as not-yet-crossed, which is also
-//!   exactly what the drain-train pipeline's lazy state fold implements.
+//!   packet boundary sees the boundary as not-yet-crossed.
 //!
-//! Under that order every run is byte-identical, under either scheduler
-//! and either link pipeline. A
+//! Under that order every run is byte-identical, under either
+//! scheduler. A
 //! `BinaryHeap` delivers that at O(log n) per operation — and WAN and
 //! fat-tree scenarios keep 10⁴–10⁵ events pending, so every push and pop
 //! sifts through ~17 levels of cold cache lines. The [`TimingWheel`]

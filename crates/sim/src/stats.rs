@@ -219,17 +219,12 @@ pub struct SimStats {
     pub delivered_packets: u64,
     /// Loop-breaking events reported by switch logic (§5.5).
     pub loop_breaks: u64,
-    /// Per-packet-equivalent events processed — the denominator of the
-    /// events/sec throughput figure tracked in `BENCH_sim.json`. Counts
-    /// every event popped off the engine's queue **plus** the
-    /// serializer completions the drain-train link pipeline elides
-    /// (`txdone_coalesced`), so the figure measures the same work under
-    /// either `SimConfig::link_pipeline` and stays comparable across
-    /// recordings.
+    /// Events popped off the engine's queue — the denominator of the
+    /// events/sec throughput figure tracked in `BENCH_sim.json`.
     pub events_processed: u64,
-    /// Serializer-completion events elided by the drain-train pipeline
-    /// (a committed train of `k` packets posts one tail completion
-    /// instead of `k`). Always 0 under `LinkPipeline::PerPacket`.
+    /// Always 0: the engine posts one serializer completion per packet
+    /// and elides none. Kept only because the repository benchmark
+    /// still reads it.
     pub txdone_coalesced: u64,
     /// Peak number of pending events in the scheduler over the run.
     pub sched_peak_pending: u64,

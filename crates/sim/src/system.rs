@@ -86,7 +86,8 @@ impl<'a> InstallCtx<'a> {
     }
 }
 
-/// Why a [`RoutingSystem::install`] call failed.
+/// Why a [`RoutingSystem::install`] call — or the run set up around it —
+/// failed.
 #[derive(Debug)]
 pub enum InstallError {
     /// A policy failed to compile for this topology.
@@ -103,6 +104,15 @@ pub enum InstallError {
         /// Human-readable explanation.
         reason: String,
     },
+    /// A run setting that must be a positive interval is zero: a zero
+    /// queue-sampling period would re-post its sample at the same
+    /// instant forever, a zero estimator window has no rate, and a zero
+    /// UDP bucket divides by zero when converted to Gbps.
+    ZeroInterval {
+        /// The setting, by its scenario builder name (`queue_sampling`,
+        /// `util_tau` or `udp_bucket`).
+        setting: &'static str,
+    },
 }
 
 impl std::fmt::Display for InstallError {
@@ -114,6 +124,9 @@ impl std::fmt::Display for InstallError {
             InstallError::Unsupported { system, reason } => {
                 write!(f, "{system} unsupported here: {reason}")
             }
+            InstallError::ZeroInterval { setting } => {
+                write!(f, "{setting} must be a positive interval, not 0")
+            }
         }
     }
 }
@@ -122,7 +135,7 @@ impl std::error::Error for InstallError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             InstallError::Compile { error, .. } => Some(error),
-            InstallError::Unsupported { .. } => None,
+            InstallError::Unsupported { .. } | InstallError::ZeroInterval { .. } => None,
         }
     }
 }

@@ -1,19 +1,18 @@
 //! Failure-path regression tests for the link layer, run under **both**
-//! link pipelines and **both** schedulers: every assertion here must hold
-//! with identical numbers in all four configurations.
+//! schedulers: every assertion here must hold with identical numbers in
+//! both configurations.
 //!
-//! * Packets discarded by `LinkState::set_down` — queued packets *and*
-//!   committed-but-unstarted drain-train entries — are counted as
+//! * Packets discarded by `LinkState::set_down` — every queued packet
+//!   whose serialization had not started — are counted as
 //!   [`DropReason::LinkDown`] in `SimStats` (they used to be invisible to
 //!   per-reason accounting when the flush happened mid-burst).
 //! * A `TxDone` whose epoch predates a `set_down`/`set_up` flap is
-//!   ignored and cannot double-start the serializer. This invariant is
-//!   load-bearing for drain trains: the tail completion of a cancelled
-//!   train outlives the failure by construction.
+//!   ignored and cannot double-start the serializer: the completion of
+//!   the packet on the wire outlives the failure by construction.
 
 use contra_sim::{
-    DropReason, FaultError, FlowSpec, LinkPipeline, Packet, SchedulerKind, SimConfig, SimStats,
-    Simulator, SwitchCtx, SwitchLogic, Time,
+    DropReason, FaultError, FlowSpec, Packet, SchedulerKind, SimConfig, SimStats, Simulator,
+    SwitchCtx, SwitchLogic, Time,
 };
 use contra_topology::{paths, NodeId, Topology};
 
@@ -52,8 +51,7 @@ fn install_static(sim: &mut Simulator) {
 }
 
 /// h0 –10G– s0 –1G– s1 –10G– h1: the s0→s1 cable is a 10× bottleneck, so
-/// bursts pile up in its queue (and, under the train pipeline, in
-/// committed trains).
+/// bursts pile up in its queue.
 fn bottleneck() -> Topology {
     let mut t = Topology::builder();
     let s0 = t.switch("s0");
@@ -66,27 +64,8 @@ fn bottleneck() -> Topology {
     t.build()
 }
 
-/// All four engine configurations that must agree bit for bit.
-fn configs() -> [(LinkPipeline, SchedulerKind); 4] {
-    [
-        (LinkPipeline::Train, SchedulerKind::Wheel),
-        (LinkPipeline::Train, SchedulerKind::Heap),
-        (LinkPipeline::PerPacket, SchedulerKind::Wheel),
-        (LinkPipeline::PerPacket, SchedulerKind::Heap),
-    ]
-}
-
-/// `CONTRA_LINK_PIPELINE` rewires both sides of these differential
-/// assertions onto one pipeline, making them vacuous — skip under the
-/// override (the env run still exercises every *other* test on the
-/// oracle pipeline, which is its purpose).
-fn env_override() -> bool {
-    if LinkPipeline::from_env().is_some() {
-        eprintln!("skipped: CONTRA_LINK_PIPELINE override active");
-        return true;
-    }
-    false
-}
+/// Both engine schedulers, which must agree bit for bit.
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Wheel, SchedulerKind::Heap];
 
 fn fingerprint(s: &SimStats) -> String {
     format!(
@@ -106,19 +85,14 @@ fn fingerprint(s: &SimStats) -> String {
 /// 1.2 µs/packet, arriving at s0 from 1.7 µs. The bottleneck serializes
 /// 12 µs/packet, so starts happen at 1.7/13.7/25.7 µs — at the 30 µs
 /// failure exactly 3 packets have started (the third still on the wire)
-/// and **7 are unstarted**. Under the train pipeline those 7 live in a
-/// committed train, not the raw queue; they must be counted all the
-/// same. After the failure, ACKs of the surviving deliveries clock out
+/// and **7 are unstarted**, still queued. After the failure, ACKs of the surviving deliveries clock out
 /// 3 more transmissions that die at the down cable's `enqueue`
 /// (already-working accounting), for 10 `LinkDown` drops in total — the
 /// run stopped at the failure instant shows the flush alone is 7.
 #[test]
 fn mid_burst_failure_counts_linkdown_drops() {
-    if env_override() {
-        return;
-    }
     let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
+    for scheduler in SCHEDULERS {
         let topo = bottleneck();
         let h0 = topo.find("h0").unwrap();
         let h1 = topo.find("h1").unwrap();
@@ -128,7 +102,6 @@ fn mid_burst_failure_counts_linkdown_drops() {
             topo,
             SimConfig {
                 stop_at: Time::ms(2),
-                link_pipeline: pipeline,
                 scheduler,
                 ..SimConfig::default()
             },
@@ -145,7 +118,7 @@ fn mid_burst_failure_counts_linkdown_drops() {
         assert_eq!(
             stats.drops.get(&DropReason::LinkDown),
             Some(&10),
-            "unstarted mid-burst packets must be accounted ({pipeline:?}/{scheduler:?})"
+            "unstarted mid-burst packets must be accounted ({scheduler:?})"
         );
         // The packet on the wire at failure time still arrives: 3 of 10
         // data packets are delivered.
@@ -159,7 +132,6 @@ fn mid_burst_failure_counts_linkdown_drops() {
                 topo,
                 SimConfig {
                     stop_at: Time::us(30),
-                    link_pipeline: pipeline,
                     scheduler,
                     ..SimConfig::default()
                 },
@@ -176,37 +148,27 @@ fn mid_burst_failure_counts_linkdown_drops() {
             assert_eq!(
                 flush_only.drops.get(&DropReason::LinkDown),
                 Some(&7),
-                "set_down flush alone ({pipeline:?}/{scheduler:?})"
-            );
-        }
-        if pipeline == LinkPipeline::Train {
-            assert!(
-                stats.txdone_coalesced > 0,
-                "the burst must actually exercise a committed train"
+                "set_down flush alone ({scheduler:?})"
             );
         }
         prints.push(fingerprint(&stats));
     }
     assert!(
         prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
+        "schedulers disagree: {prints:#?}"
     );
 }
 
-/// A down/up flap in the middle of a committed train: the train's tail
-/// `TxDone` (and, per-packet, the in-flight completion) carries the
-/// pre-failure epoch and must be ignored after recovery — honoring it
-/// would double-start the serializer and deliver packets early. The UDP
-/// stream keeps the link busy across the flap, so a resurrected
-/// serializer would visibly inflate the delivered count or reorder
-/// deliveries; instead all four configurations agree exactly.
+/// A down/up flap in the middle of a busy period: the in-flight packet's
+/// `TxDone` carries the pre-failure epoch and must be ignored after
+/// recovery — honoring it would double-start the serializer and deliver
+/// packets early. The UDP stream keeps the link busy across the flap, so
+/// a resurrected serializer would visibly inflate the delivered count or
+/// reorder deliveries; instead both schedulers agree exactly.
 #[test]
 fn stale_txdone_across_flap_is_ignored() {
-    if env_override() {
-        return;
-    }
     let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
+    for scheduler in SCHEDULERS {
         let topo = bottleneck();
         let h0 = topo.find("h0").unwrap();
         let h1 = topo.find("h1").unwrap();
@@ -216,15 +178,14 @@ fn stale_txdone_across_flap_is_ignored() {
             topo,
             SimConfig {
                 stop_at: Time::ms(1),
-                link_pipeline: pipeline,
                 scheduler,
                 ..SimConfig::default()
             },
         );
         install_static(&mut sim);
         // 2 Gbps offered into a 1 Gbps bottleneck: the queue never
-        // drains, so trains are committed continuously and a completion
-        // is always in flight when the cable flaps.
+        // drains, so a completion is always in flight when the cable
+        // flaps.
         sim.add_flow(FlowSpec::Udp {
             src: h0,
             dst: h1,
@@ -242,13 +203,10 @@ fn stale_txdone_across_flap_is_ignored() {
             *stats.drops.get(&DropReason::LinkDown).unwrap_or(&0) > 0,
             "the flap must flush something"
         );
-        if pipeline == LinkPipeline::Train {
-            assert!(stats.txdone_coalesced > 0, "trains must be exercised");
-        }
         prints.push((
             stats.delivered_packets,
             fingerprint(&stats),
-            format!("{pipeline:?}/{scheduler:?}"),
+            format!("{scheduler:?}"),
         ));
     }
     for w in prints.windows(2) {
@@ -318,15 +276,11 @@ fn recover_unknown_cable_panics() {
 
 /// `LinkDown` on an already-down link and `LinkUp` on an already-up link
 /// are explicit no-ops: a doubled failure (or doubled recovery) produces
-/// byte-identical statistics to the single one, in all four engine
-/// configurations. This idempotence is what lets chaos plans overlap
+/// byte-identical statistics to the single one, under both schedulers. This idempotence is what lets chaos plans overlap
 /// failures without any bookkeeping.
 #[test]
 fn doubled_fault_events_are_noops() {
-    if env_override() {
-        return;
-    }
-    let run = |pipeline, scheduler, doubled: bool| {
+    let run = |scheduler, doubled: bool| {
         let topo = bottleneck();
         let h0 = topo.find("h0").unwrap();
         let h1 = topo.find("h1").unwrap();
@@ -336,7 +290,6 @@ fn doubled_fault_events_are_noops() {
             topo,
             SimConfig {
                 stop_at: Time::ms(1),
-                link_pipeline: pipeline,
                 scheduler,
                 ..SimConfig::default()
             },
@@ -372,12 +325,12 @@ fn doubled_fault_events_are_noops() {
         );
         (traffic, stats.events_processed)
     };
-    for (pipeline, scheduler) in configs() {
-        let (single, single_events) = run(pipeline, scheduler, false);
-        let (doubled, doubled_events) = run(pipeline, scheduler, true);
+    for scheduler in SCHEDULERS {
+        let (single, single_events) = run(scheduler, false);
+        let (doubled, doubled_events) = run(scheduler, true);
         assert_eq!(
             single, doubled,
-            "doubled fault events must be invisible ({pipeline:?}/{scheduler:?})"
+            "doubled fault events must be invisible ({scheduler:?})"
         );
         // The two redundant events are popped and discarded — the only
         // trace they leave is the event count itself.
@@ -385,17 +338,14 @@ fn doubled_fault_events_are_noops() {
     }
 }
 
-/// A node failure downs every incident link atomically (flushing queues
-/// and committed trains), and the recovery brings them all back; the
-/// numbers agree across both pipelines and both schedulers. Killing s1
+/// A node failure downs every incident link atomically (flushing their
+/// queues), and the recovery brings them all back; the numbers agree
+/// across both schedulers. Killing s1
 /// mid-stream severs both the s0→s1 bottleneck and the s1→h1 edge.
 #[test]
 fn node_failure_downs_all_incident_links() {
-    if env_override() {
-        return;
-    }
     let mut prints = Vec::new();
-    for (pipeline, scheduler) in configs() {
+    for scheduler in SCHEDULERS {
         let topo = bottleneck();
         let h0 = topo.find("h0").unwrap();
         let h1 = topo.find("h1").unwrap();
@@ -404,7 +354,6 @@ fn node_failure_downs_all_incident_links() {
             topo,
             SimConfig {
                 stop_at: Time::ms(1),
-                link_pipeline: pipeline,
                 scheduler,
                 ..SimConfig::default()
             },
@@ -437,6 +386,6 @@ fn node_failure_downs_all_incident_links() {
     }
     assert!(
         prints.windows(2).all(|w| w[0] == w[1]),
-        "pipelines × schedulers disagree: {prints:#?}"
+        "schedulers disagree: {prints:#?}"
     );
 }
