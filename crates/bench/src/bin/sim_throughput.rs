@@ -27,30 +27,28 @@
 //! alongside throughput.
 //!
 //! With `CONTRA_BENCH_REGRESSION_GATE` set (as CI does), the binary also
-//! measures every cell on the recorded baseline's engine — heap
-//! scheduler, boxed switch dispatch and per-send transport effects, all
-//! still in this binary — and
-//! exits nonzero when any cell regresses more than 10% below its
-//! recorded baseline *after rescaling the baseline by the measured
-//! machine speed* (geomean of heap-now / heap-recorded), or when the
-//! current engine loses >10% to that same-run oracle outright. Absolute
-//! events/sec depend on the machine; calibrating against the in-binary
-//! pre-change engine makes the gate portable to slower CI runners while
-//! still catching real regressions.
+//! measures every cell on the heap scheduler (`SchedulerKind::Heap`, the
+//! recorded baseline's event queue, still in this binary) and exits
+//! nonzero when any cell regresses more than 10% below its recorded
+//! baseline *after rescaling the baseline by the measured machine speed*
+//! (geomean of heap-now / heap-recorded), or when the current engine
+//! loses >10% to that same-run oracle outright. Absolute events/sec
+//! depend on the machine; calibrating against the in-binary heap
+//! scheduler makes the gate portable to slower CI runners while still
+//! catching real regressions.
 
 use contra_baselines::{Ecmp, Hula, Sp};
 use contra_bench::{fast_mode, Scenario};
 use contra_dataplane::Contra;
-use contra_experiments::{run_cells, DispatchMode, Jobs, RunResult, SweepCell};
+use contra_experiments::{run_cells, Jobs, RunResult, SweepCell};
 use contra_sim::{CompileCache, RoutingSystem, SchedulerKind, Time};
 use std::time::Instant;
 
 /// Pre-change baseline, events/sec, measured at the flat-hot-path engine
 /// before the timing-wheel event scheduler (commit fd51bd8; that
 /// engine — `BinaryHeap` event queue, boxed switch dispatch, per-segment
-/// transport sends — is still runnable via `SchedulerKind::Heap` +
-/// `DispatchMode::Dyn` + `burst_sends(false)`), with the same
-/// instrumentation and scenarios: `(mode, topology, system,
+/// transport sends — is today's engine run with `SchedulerKind::Heap`),
+/// with the same instrumentation and scenarios: `(mode, topology, system,
 /// events_per_sec)`. History: the seed engine measured a 1.62x geomean
 /// *below* these numbers on the same machine class; the timing wheel
 /// recorded a 1.484x full-mode geomean *above* them.
@@ -202,19 +200,8 @@ fn best_of(
 }
 
 fn main() {
-    // The dispatch override would force every cell — including the
-    // measured rows — onto the boxed oracle and record the
-    // devirtualized engine's trajectory from the wrong engine. Refuse to
-    // measure.
-    if DispatchMode::from_env().is_some() {
-        eprintln!(
-            "sim_throughput: unset CONTRA_DISPATCH first — the override \
-             would collapse the dispatch paths and corrupt BENCH_sim.json"
-        );
-        std::process::exit(2);
-    }
-    // Same reasoning for the telemetry override: a recorder hooked into
-    // every simulator would tax the hot path and record the instrumented
+    // A telemetry recorder hooked into every simulator by the env
+    // override would tax the hot path and record the instrumented
     // engine's numbers as the throughput trajectory. Refuse to measure.
     if contra_sim::recorder::telemetry_from_env() == Some(true) {
         eprintln!(
@@ -235,18 +222,12 @@ fn main() {
             let r = best_of(&scenario, system.as_ref(), &cache, reps);
             let eps = r.stats.events_processed as f64 / r.wall_secs.max(1e-12);
             let baseline_eps = baseline_for(mode, scenario.label(), &r.system);
-            // Gate mode: re-measure the cell on the in-binary pre-change
-            // engine (heap scheduler, boxed switch dispatch, one Send
-            // effect per packet — the stack the BASELINE constant was
-            // recorded on) to calibrate the recorded baseline to this
-            // machine's speed.
+            // Gate mode: re-measure the cell on the heap scheduler (the
+            // event queue the BASELINE constant was recorded on) to
+            // calibrate the recorded baseline to this machine's speed.
             let heap_eps = gate.then(|| {
                 let h = best_of(
-                    &scenario
-                        .clone()
-                        .scheduler(SchedulerKind::Heap)
-                        .dispatch(DispatchMode::Dyn)
-                        .burst_sends(false),
+                    &scenario.clone().scheduler(SchedulerKind::Heap),
                     system.as_ref(),
                     &cache,
                     reps,

@@ -6,7 +6,6 @@
 //! [`RoutingSystem`] is a method call; sweeping the cartesian product of
 //! systems × loads is [`Scenario::matrix`].
 
-use crate::dispatch::{DispatchMode, SwitchDispatch};
 use crate::fault::{ChaosSpec, FaultCmd, FaultPlan, FaultTarget};
 use crate::result::{Figures, RunResult, ScenarioInfo};
 use crate::sweep::{Jobs, SweepSpec};
@@ -83,6 +82,13 @@ pub enum Traffic {
     None,
 }
 
+/// A fault target resolved against the topology.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    Cable(NodeId, NodeId),
+    Node(NodeId),
+}
+
 /// A complete experiment description (minus the routing system).
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -110,8 +116,6 @@ pub struct Scenario {
     min_rto: Option<Time>,
     udp_bucket: Option<Time>,
     scheduler: SchedulerKind,
-    dispatch: DispatchMode,
-    burst_sends: Option<bool>,
     extra_flows: Vec<FlowSpec>,
     jobs: Jobs,
     verify_policy: bool,
@@ -147,8 +151,6 @@ impl Scenario {
             min_rto: None,
             udp_bucket: None,
             scheduler: SchedulerKind::default(),
-            dispatch: DispatchMode::default(),
-            burst_sends: None,
             extra_flows: Vec::new(),
             jobs: Jobs::Serial,
             verify_policy: false,
@@ -424,27 +426,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the switch-logic dispatch strategy (default:
-    /// [`DispatchMode::Enum`], which repacks the installed boxes into
-    /// [`SwitchDispatch`]'s inline variants). Both modes produce
-    /// byte-identical results; the boxed path remains as a differential
-    /// oracle — see the dispatch-parity test suite. The `CONTRA_DISPATCH`
-    /// env var overrides whatever is set here at run time.
-    pub fn dispatch(mut self, mode: DispatchMode) -> Scenario {
-        self.dispatch = mode;
-        self
-    }
-
-    /// Toggles batched ACK-clocked sends (default on): each transport
-    /// handler emits one described `SendBurst` effect for a window's
-    /// worth of segments instead of one `Send` per packet. Both settings
-    /// produce byte-identical results — the per-send path remains as a
-    /// differential oracle; see the dispatch-parity suite's burst test.
-    pub fn burst_sends(mut self, on: bool) -> Scenario {
-        self.burst_sends = Some(on);
-        self
-    }
-
     /// Adds an explicit flow on top of (or instead of, with
     /// [`Traffic::None`]) the generated traffic.
     pub fn flow(mut self, flow: FlowSpec) -> Scenario {
@@ -562,9 +543,11 @@ impl Scenario {
     }
 
     /// Fallible form of [`Scenario::run_cached`]. A zero
-    /// [`Scenario::queue_sampling`], [`Scenario::util_tau`] or
-    /// [`Scenario::udp_bucket`] is rejected as
-    /// [`InstallError::ZeroInterval`] before the simulator is built.
+    /// [`Scenario::queue_sampling`], [`Scenario::util_tau`],
+    /// [`Scenario::udp_bucket`] or [`Scenario::min_rto`] is rejected as
+    /// [`InstallError::ZeroInterval`], and a fault naming an unknown node
+    /// or a missing cable as [`InstallError::UnknownNode`] or
+    /// [`InstallError::NoCable`], all before the simulator is built.
     pub fn try_run_cached(
         &self,
         system: &dyn RoutingSystem,
@@ -574,6 +557,7 @@ impl Scenario {
             ("queue_sampling", self.queue_sampling),
             ("util_tau", self.util_tau),
             ("udp_bucket", self.udp_bucket),
+            ("min_rto", self.min_rto),
         ] {
             if every == Some(Time::ZERO) {
                 return Err(InstallError::ZeroInterval { setting });
@@ -584,7 +568,7 @@ impl Scenario {
         // run consumes only the explicit list, so a replay (same
         // scenario value) is byte-identical and a failing plan can be
         // dumped and re-run verbatim.
-        let faults = self.resolved_faults();
+        let faults = self.fault_targets(&self.resolved_faults())?;
         let failed = self.final_down_cables(&faults);
 
         let mut cfg = SimConfig {
@@ -594,9 +578,6 @@ impl Scenario {
             scheduler: self.scheduler,
             ..SimConfig::default()
         };
-        if let Some(burst) = self.burst_sends {
-            cfg.burst_sends = burst;
-        }
         if let Some(tau) = self.util_tau {
             cfg.util_tau = tau;
         }
@@ -652,25 +633,15 @@ impl Scenario {
             None => Vec::new(),
         };
 
-        // Devirtualize the hot path: repack each installed box into the
-        // static-dispatch enum (or keep everything boxed under
-        // `CONTRA_DISPATCH=dyn` — the differential oracle). From here on
-        // the engine is a `SimCore<SwitchDispatch>`.
-        let mode = self.dispatch.or_env();
-        let mut sim = sim.map_logics(|b| SwitchDispatch::convert(b, mode));
-
-        for c in &faults {
-            let res = match (&c.target, c.up) {
-                (FaultTarget::Cable(a, b), false) => {
-                    sim.try_fail_link_at(self.find(a), self.find(b), c.at)
-                }
-                (FaultTarget::Cable(a, b), true) => {
-                    sim.try_recover_link_at(self.find(a), self.find(b), c.at)
-                }
-                (FaultTarget::Node(n), false) => sim.try_fail_node_at(self.find(n), c.at),
-                (FaultTarget::Node(n), true) => sim.try_recover_node_at(self.find(n), c.at),
-            };
-            res.unwrap_or_else(|e| panic!("scenario {}: {e}", self.label));
+        // Every target was checked against the topology above, so the
+        // engine accepts each one.
+        for &(at, target, up) in &faults {
+            match (target, up) {
+                (Target::Cable(a, b), false) => sim.fail_link_at(a, b, at),
+                (Target::Cable(a, b), true) => sim.recover_link_at(a, b, at),
+                (Target::Node(n), false) => sim.fail_node_at(n, at),
+                (Target::Node(n), true) => sim.recover_node_at(n, at),
+            }
         }
         for f in self.generated_flows() {
             sim.add_flow(f);
@@ -743,20 +714,19 @@ impl Scenario {
     /// order with the engine's semantics — a node transition moves every
     /// incident cable, later commands override earlier ones — ignoring
     /// commands past the stop instant, which the engine never processes.
-    fn final_down_cables(&self, faults: &[FaultCmd]) -> Vec<(NodeId, NodeId)> {
+    fn final_down_cables(&self, faults: &[(Time, Target, bool)]) -> Vec<(NodeId, NodeId)> {
         let stop = self.duration + self.drain;
         let mut state: std::collections::BTreeMap<(NodeId, NodeId), bool> =
             std::collections::BTreeMap::new();
         let canon = |a: NodeId, b: NodeId| if a <= b { (a, b) } else { (b, a) };
-        for c in faults.iter().filter(|c| c.at <= stop) {
-            match &c.target {
-                FaultTarget::Cable(a, b) => {
-                    state.insert(canon(self.find(a), self.find(b)), !c.up);
+        for &(_, target, up) in faults.iter().filter(|&&(at, ..)| at <= stop) {
+            match target {
+                Target::Cable(a, b) => {
+                    state.insert(canon(a, b), !up);
                 }
-                FaultTarget::Node(n) => {
-                    let n = self.find(n);
+                Target::Node(n) => {
                     for &(nbr, _) in self.topology.adjacency(n) {
-                        state.insert(canon(n, nbr), !c.up);
+                        state.insert(canon(n, nbr), !up);
                     }
                 }
             }
@@ -767,10 +737,41 @@ impl Scenario {
             .collect()
     }
 
-    fn find(&self, name: &str) -> NodeId {
-        self.topology
-            .find(name)
-            .unwrap_or_else(|| panic!("scenario {}: no node named {name:?}", self.label))
+    /// Resolves every fault's node names against the topology, rejecting
+    /// unknown names and node pairs with no cable between them.
+    fn fault_targets(
+        &self,
+        faults: &[FaultCmd],
+    ) -> Result<Vec<(Time, Target, bool)>, InstallError> {
+        let find = |name: &str| {
+            self.topology
+                .find(name)
+                .ok_or_else(|| InstallError::UnknownNode {
+                    scenario: self.label.clone(),
+                    name: name.to_string(),
+                })
+        };
+        faults
+            .iter()
+            .map(|c| {
+                let target = match &c.target {
+                    FaultTarget::Cable(a, b) => {
+                        let (x, y) = (find(a)?, find(b)?);
+                        let topo = &self.topology;
+                        if topo.link_between(x, y).is_none() && topo.link_between(y, x).is_none() {
+                            return Err(InstallError::NoCable {
+                                scenario: self.label.clone(),
+                                a: a.clone(),
+                                b: b.clone(),
+                            });
+                        }
+                        Target::Cable(x, y)
+                    }
+                    FaultTarget::Node(n) => Target::Node(find(n)?),
+                };
+                Ok((c.at, target, c.up))
+            })
+            .collect()
     }
 
     /// The §6.3 aggregate uplink capacity, or the explicit override.

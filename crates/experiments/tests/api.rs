@@ -6,7 +6,12 @@ use contra_experiments::{
     CompileCache, Contra, Ecmp, Hula, InstallError, RoutingSystem, Scenario, Sp, Spain, Traffic,
     Workload,
 };
-use contra_sim::Time;
+use contra_sim::{
+    DropReason, FlowSpec, InstallCtx, Packet, Simulator, SwitchCtx, SwitchLogic, Time,
+};
+use contra_topology::NodeId;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Hula cannot run outside a two-tier leaf-spine fabric: the scenario
 /// surfaces that as a typed error instead of a mid-install panic.
@@ -71,6 +76,154 @@ fn zero_udp_bucket_is_a_typed_error() {
     match err {
         InstallError::ZeroInterval { setting } => assert_eq!(setting, "udp_bucket"),
         other => panic!("expected ZeroInterval, got: {other}"),
+    }
+}
+
+/// Regression: a zero minimum RTO backed off from 0 to 0, so the RTO
+/// check re-fired at the same instant forever and the run never ended.
+#[test]
+fn zero_min_rto_is_a_typed_error() {
+    let s = small_dc().traffic(Traffic::None).flow(one_tcp_flow());
+    match s.clone().min_rto(Time::ZERO).try_run(&Ecmp).unwrap_err() {
+        InstallError::ZeroInterval { setting } => assert_eq!(setting, "min_rto"),
+        other => panic!("expected ZeroInterval, got: {other}"),
+    }
+    // The smallest positive floor still runs to completion.
+    let r = s.min_rto(Time::ns(1)).run(&Ecmp);
+    assert!(r.stats.flows[0].finish.is_some());
+}
+
+/// Regression: a fault naming an unknown node panicked inside the
+/// fallible `try_run`.
+#[test]
+fn unknown_fault_node_is_a_typed_error() {
+    let err = small_dc()
+        .fail_link("nope", "also-nope", Time::ms(2))
+        .try_run(&Ecmp)
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "scenario leaf-spine(2,2,2): no node named \"nope\""
+    );
+    match err {
+        InstallError::UnknownNode { scenario, name } => {
+            assert_eq!(scenario, "leaf-spine(2,2,2)");
+            assert_eq!(name, "nope");
+        }
+        other => panic!("expected UnknownNode, got: {other}"),
+    }
+    let err = small_dc()
+        .recover_node("ghost", Time::ms(2))
+        .try_run(&Ecmp)
+        .unwrap_err();
+    assert!(matches!(err, InstallError::UnknownNode { ref name, .. } if name == "ghost"));
+}
+
+/// Regression: a cable fault between two real nodes with no cable
+/// between them panicked when the engine rejected it.
+#[test]
+fn fault_between_uncabled_nodes_is_a_typed_error() {
+    let err = small_dc()
+        .fail_link("leaf0", "leaf1", Time::ms(2))
+        .try_run(&Ecmp)
+        .unwrap_err();
+    match err {
+        InstallError::NoCable { scenario, a, b } => {
+            assert_eq!(scenario, "leaf-spine(2,2,2)");
+            assert_eq!((a.as_str(), b.as_str()), ("leaf0", "leaf1"));
+        }
+        other => panic!("expected NoCable, got: {other}"),
+    }
+}
+
+/// A switch program the engine knows nothing about: it ticks on a fixed
+/// period and drops every packet it sees.
+struct DropAll {
+    ticks: Arc<AtomicU64>,
+}
+
+impl SwitchLogic for DropAll {
+    fn on_packet(&mut self, ctx: &mut SwitchCtx<'_>, pkt: Packet, _from: NodeId) {
+        ctx.drop_no_route(pkt);
+    }
+
+    fn on_tick(&mut self, _ctx: &mut SwitchCtx<'_>) {
+        self.ticks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn tick_interval(&self) -> Option<Time> {
+        Some(DROP_ALL_TICK)
+    }
+}
+
+const DROP_ALL_TICK: Time = Time(7_000);
+
+/// Installs [`DropAll`] on every switch, counting ticks across them.
+#[derive(Default)]
+struct DropAllSystem {
+    ticks: Arc<AtomicU64>,
+}
+
+impl RoutingSystem for DropAllSystem {
+    fn name(&self) -> String {
+        "drop-all".into()
+    }
+
+    fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError> {
+        for sw in ctx.topology.switches() {
+            sim.install(
+                sw,
+                Box::new(DropAll {
+                    ticks: Arc::clone(&self.ticks),
+                }),
+            );
+        }
+        Ok(())
+    }
+}
+
+/// A custom switch program runs end to end through the boxed dispatch
+/// path: its ticks fire on their staggered schedule, and its refusals
+/// show up as `NoRoute` drops.
+#[test]
+fn custom_switch_logic_runs_through_scenario() {
+    let s = small_dc().traffic(Traffic::None).flow(one_tcp_flow());
+    let system = DropAllSystem::default();
+    let r = s.try_run(&system).unwrap();
+    assert_eq!(r.system, "drop-all");
+
+    // The engine staggers switch n's first tick to (n * 7919) mod the
+    // period, then re-arms every period until the stop instant
+    // (`small_dc`'s 8 ms duration plus its 15 ms drain).
+    let stop = Time::ms(8 + 15);
+    let period = DROP_ALL_TICK.0;
+    let expected: u64 = s
+        .topology()
+        .switches()
+        .iter()
+        .map(|sw| (stop.0 - (sw.0 as u64 * 7919) % period) / period + 1)
+        .sum();
+    assert_eq!(system.ticks.load(Ordering::Relaxed), expected);
+
+    assert_eq!(r.stats.delivered_packets, 0);
+    assert!(r.stats.flows[0].finish.is_none());
+    let reasons: Vec<_> = r.stats.drops.keys().copied().collect();
+    assert_eq!(reasons, [DropReason::NoRoute]);
+    assert!(
+        r.stats.drops[&DropReason::NoRoute] >= 10,
+        "the initial window dies"
+    );
+}
+
+/// One 100 kB TCP flow between the first two hosts of [`small_dc`].
+fn one_tcp_flow() -> FlowSpec {
+    let topo = small_dc().topology().clone();
+    let hosts = topo.hosts();
+    FlowSpec::Tcp {
+        src: hosts[0],
+        dst: hosts[1],
+        bytes: 100_000,
+        start: Time::ms(1),
     }
 }
 

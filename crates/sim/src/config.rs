@@ -36,16 +36,9 @@ pub struct SimConfig {
     pub trace_paths: bool,
     /// Which event scheduler runs the loop. [`SchedulerKind::Wheel`]
     /// (default) and [`SchedulerKind::Heap`] produce byte-identical
-    /// outputs — the heap is kept as a differential oracle and an escape
-    /// hatch.
+    /// outputs — the heap is kept as a differential oracle and as the
+    /// machine-speed reference of the `sim_throughput` regression gate.
     pub scheduler: SchedulerKind,
-    /// Emit window-opening TCP sends as one described
-    /// [`crate::transport::TransportEffect::SendBurst`] per handler
-    /// (default) instead of one `Send` effect per packet. Both settings
-    /// produce byte-identical statistics — the burst is the same packets
-    /// with the same ids on the same schedule, minted at effect-apply
-    /// time; the per-send path is kept as the differential oracle.
-    pub burst_sends: bool,
     /// Runs the runtime invariant auditor: packet conservation, pool and
     /// trace-table leak freedom, queue-occupancy bounds, dead-epoch
     /// detection — checked at every fault epoch and at end of run. Pure
@@ -77,7 +70,6 @@ impl Default for SimConfig {
             udp_bucket: Time::ms(1),
             trace_paths: false,
             scheduler: SchedulerKind::default(),
-            burst_sends: true,
             audit: cfg!(debug_assertions),
             telemetry: None,
         }

@@ -33,7 +33,7 @@ use contra_topology::{LinkId, NodeId, Topology};
 
 mod linkops;
 
-/// Everything one run produced; see [`SimCore::run_full`].
+/// Everything one run produced; see [`Simulator::run_full`].
 #[derive(Debug)]
 pub struct RunOutput {
     /// Aggregated run statistics — byte-identical whether or not traces
@@ -72,7 +72,7 @@ enum Event {
     /// Next UDP datagram.
     UdpSend { flow: u32, gen: u32 },
     /// Retire a flow: vacate its arena slot (see
-    /// [`SimCore::retire_flow_at`]).
+    /// [`Simulator::retire_flow_at`]).
     FlowRetire { flow: u32, gen: u32 },
     /// Take both directions of a cable down.
     LinkDown { a: NodeId, b: NodeId },
@@ -87,26 +87,17 @@ enum Event {
     QueueSample,
 }
 
-/// The boxed-dispatch simulator — the installation surface. Routing
-/// systems install `Box<dyn SwitchLogic>` values here (unsize coercion
-/// keeps every `sim.install(sw, Box::new(...))` call site working); the
-/// experiment layer then converts the core to static enum dispatch via
-/// [`SimCore::map_logics`] before running, leaving the boxed path as the
-/// extension seam and differential oracle.
-pub type Simulator = SimCore<Box<dyn SwitchLogic>>;
-
-/// The simulator core: topology + links + switch logic + transports +
-/// clock, generic over the switch-logic type `L` so the per-event
-/// dispatch in the hot loop is a static call (or an enum match) instead
-/// of a mandatory virtual call through `Box<dyn SwitchLogic>`.
-pub struct SimCore<L: SwitchLogic> {
+/// The simulator: topology + links + switch logic + transports + clock.
+/// Switch logic is installed and dispatched as `Box<dyn SwitchLogic>`,
+/// so any routing system plugs in without the engine knowing its type.
+pub struct Simulator {
     /// Shared, immutable during a run. `Arc` so parallel sweeps hand the
     /// same topology to every cell's simulator instead of deep-cloning
     /// node/link tables once per cell.
     topo: std::sync::Arc<Topology>,
     cfg: SimConfig,
     links: Vec<LinkState>,
-    logics: Vec<Option<L>>,
+    logics: Vec<Option<Box<dyn SwitchLogic>>>,
     tick_of: Vec<Option<Time>>,
     /// The host endpoints (TCP/UDP state machines).
     transport: Transport,
@@ -137,15 +128,15 @@ pub struct SimCore<L: SwitchLogic> {
     /// The telemetry recorder (`cfg.telemetry`), `None` when off. Like
     /// the auditor: pure observation, boxed, one null check when off.
     telem: Option<Box<Recorder>>,
-    /// Run statistics (read after [`SimCore::run`]).
+    /// Run statistics (read after [`Simulator::run`]).
     pub stats: SimStats,
 }
 
-impl<L: SwitchLogic> SimCore<L> {
+impl Simulator {
     /// Creates a simulator over a topology. Accepts an owned [`Topology`]
     /// or an `Arc<Topology>`; sweeps pass the latter so every cell shares
     /// one allocation.
-    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, mut cfg: SimConfig) -> SimCore<L> {
+    pub fn new(topo: impl Into<std::sync::Arc<Topology>>, mut cfg: SimConfig) -> Simulator {
         let topo = topo.into();
         if let Some(audit) = crate::config::audit_from_env() {
             cfg.audit = audit;
@@ -183,14 +174,14 @@ impl<L: SwitchLogic> SimCore<L> {
             .map(|(i, _)| i as u32)
             .collect();
         let queue = EventQueue::new(cfg.scheduler);
-        let transport = Transport::new(cfg.min_rto, cfg.init_cwnd, cfg.burst_sends);
+        let transport = Transport::new(cfg.min_rto, cfg.init_cwnd);
         let traces = TraceTable::new(cfg.trace_paths);
         let audit = cfg.audit.then(|| Box::new(Auditor::default()));
         let telem = cfg
             .telemetry
             .as_ref()
             .map(|t| Box::new(Recorder::new(t, &topo)));
-        let mut sim = SimCore {
+        let mut sim = Simulator {
             topo,
             cfg,
             links,
@@ -223,12 +214,7 @@ impl<L: SwitchLogic> SimCore<L> {
 
     /// Installs dataplane logic on a switch. Ticks are staggered
     /// deterministically per switch so probe rounds do not synchronize.
-    ///
-    /// On the [`Simulator`] alias `L` is `Box<dyn SwitchLogic>`, so any
-    /// `Box::new(ConcreteSwitch { .. })` coerces at the call site —
-    /// installation stays object-typed even when the run will use static
-    /// dispatch (see [`SimCore::map_logics`]).
-    pub fn install(&mut self, node: NodeId, logic: L) {
+    pub fn install(&mut self, node: NodeId, logic: Box<dyn SwitchLogic>) {
         assert!(self.topo.is_switch(node), "{node} is not a switch");
         if let Some(t) = logic.tick_interval() {
             assert!(t.0 > 0, "tick interval must be positive");
@@ -237,56 +223,6 @@ impl<L: SwitchLogic> SimCore<L> {
             self.push(offset, Event::Tick { node });
         }
         self.logics[node.0 as usize] = Some(logic);
-    }
-
-    /// Converts the switch-logic representation in place — the
-    /// devirtualization step. Called after installation (and before the
-    /// run) to repack `Box<dyn SwitchLogic>` values into a static enum;
-    /// everything else (queue contents, tick schedule, flows, links)
-    /// moves across untouched, so the conversion is observationally
-    /// invisible: the event schedule, including the tick stagger
-    /// computed at install time, is already fixed.
-    pub fn map_logics<M: SwitchLogic>(self, mut f: impl FnMut(L) -> M) -> SimCore<M> {
-        let SimCore {
-            topo,
-            cfg,
-            links,
-            logics,
-            tick_of,
-            transport,
-            queue,
-            now,
-            pool,
-            out_buf,
-            tfx,
-            fabric_links,
-            fabric_link,
-            debug_ttl,
-            traces,
-            audit,
-            telem,
-            stats,
-        } = self;
-        SimCore {
-            topo,
-            cfg,
-            links,
-            logics: logics.into_iter().map(|l| l.map(&mut f)).collect(),
-            tick_of,
-            transport,
-            queue,
-            now,
-            pool,
-            out_buf,
-            tfx,
-            fabric_links,
-            fabric_link,
-            debug_ttl,
-            traces,
-            audit,
-            telem,
-            stats,
-        }
     }
 
     /// Registers a flow; returns its id.
@@ -304,7 +240,7 @@ impl<L: SwitchLogic> SimCore<L> {
     /// Retires a flow immediately: vacates its arena slot (sender and
     /// receiver state) and invalidates every timer armed against it via
     /// the generation bump. The slot becomes reusable by a later
-    /// [`SimCore::add_flow`]; the flow's [`crate::stats::FlowRecord`]
+    /// [`Simulator::add_flow`]; the flow's [`crate::stats::FlowRecord`]
     /// stays as-is (its `finish` remains `None` unless the flow already
     /// completed). Returns whether the slot was live.
     pub fn retire_flow(&mut self, flow: FlowId) -> bool {
@@ -728,13 +664,6 @@ impl<L: SwitchLogic> SimCore<L> {
         for effect in fx.drain(..) {
             match effect {
                 TransportEffect::Send { src, via, pkt } => self.transmit(src, via, pkt),
-                TransportEffect::SendBurst {
-                    flow,
-                    src,
-                    via,
-                    first_seq,
-                    count,
-                } => self.send_burst(flow, src, via, first_seq, count),
                 TransportEffect::Timer { at, timer } => {
                     let ev = match timer {
                         TransportTimer::Rto { flow, gen, epoch } => {
@@ -767,7 +696,7 @@ impl<L: SwitchLogic> SimCore<L> {
         {
             self.stats.looped_packets += 1;
         }
-        if self.logics[node.0 as usize].is_none() {
+        let Some(logic) = self.logics[node.0 as usize].as_mut() else {
             // No logic installed (test harness omission): drop.
             let probe = matches!(pkt.kind, PacketKind::Probe(_));
             self.stats.on_drop_at(DropReason::NoRoute, self.now, probe);
@@ -776,10 +705,7 @@ impl<L: SwitchLogic> SimCore<L> {
             }
             self.traces.forget(pkt.id);
             return;
-        }
-        // Borrow the logic in place (disjoint fields, no move): the old
-        // take/put-back dance moved the logic value twice per event,
-        // which a wide enum dispatch type would turn into two memcpys.
+        };
         let mut ctx = SwitchCtx::new(
             node,
             self.now,
@@ -787,9 +713,6 @@ impl<L: SwitchLogic> SimCore<L> {
             &self.links,
             std::mem::take(&mut self.out_buf),
         );
-        let logic = self.logics[node.0 as usize]
-            .as_mut()
-            .expect("presence checked above");
         logic.on_packet(&mut ctx, pkt, from);
         let SwitchCtx {
             out,
@@ -801,9 +724,9 @@ impl<L: SwitchLogic> SimCore<L> {
     }
 
     fn on_tick(&mut self, node: NodeId) {
-        if self.logics[node.0 as usize].is_none() {
+        let Some(logic) = self.logics[node.0 as usize].as_mut() else {
             return;
-        }
+        };
         let mut ctx = SwitchCtx::new(
             node,
             self.now,
@@ -811,9 +734,6 @@ impl<L: SwitchLogic> SimCore<L> {
             &self.links,
             std::mem::take(&mut self.out_buf),
         );
-        let logic = self.logics[node.0 as usize]
-            .as_mut()
-            .expect("presence checked above");
         logic.on_tick(&mut ctx);
         let SwitchCtx {
             out,

@@ -4,14 +4,13 @@
 //! Split out of `engine.rs` so the dispatcher stays a readable core; the
 //! methods here are the only code that schedules link events.
 
-use super::{Event, SimCore};
+use super::{Event, Simulator};
 use crate::link::{DropReason, EnqueueOutcome};
 use crate::packet::{Packet, PacketKind};
 use crate::stats::TrafficKind;
-use crate::switch::SwitchLogic;
 use contra_topology::{LinkId, NodeId};
 
-impl<L: SwitchLogic> SimCore<L> {
+impl Simulator {
     /// Queues `pkt` on the link `from → to`, starting the serializer if
     /// idle. Handles TTL decrement on switch-to-switch hops.
     pub(super) fn transmit(&mut self, from: NodeId, to: NodeId, mut pkt: Packet) {
@@ -55,54 +54,6 @@ impl<L: SwitchLogic> SimCore<L> {
             }
             pkt.ttl -= 1;
         }
-        self.enqueue_on(lid, pkt);
-    }
-
-    /// Applies one [`crate::transport::TransportEffect::SendBurst`]:
-    /// mints and enqueues `count` consecutive data segments onto the
-    /// host's access link. The link is resolved once for the whole burst,
-    /// and the TTL branch of [`SimCore::transmit`] is skipped statically —
-    /// a host's access link is never a fabric link, so `transmit` would
-    /// never take it for these packets. Per-packet accounting (audit
-    /// offers, wire stats, drop handling) is unchanged: each segment goes
-    /// through [`SimCore::enqueue_on`] exactly as a per-packet `Send`
-    /// would.
-    pub(super) fn send_burst(
-        &mut self,
-        flow: u32,
-        src: NodeId,
-        via: NodeId,
-        first_seq: u32,
-        count: u32,
-    ) {
-        let Some(lid) = self.topo.link_between(src, via) else {
-            // No access link: fall back to per-packet `transmit`, whose
-            // missing-link path carries the accounting.
-            for seq in first_seq..first_seq + count {
-                if let Some(pkt) = self.transport.mint_data(flow, seq, self.now) {
-                    self.transmit(src, via, pkt);
-                }
-            }
-            return;
-        };
-        debug_assert!(!self.fabric_link[lid.0 as usize], "access links only");
-        for seq in first_seq..first_seq + count {
-            let Some(pkt) = self.transport.mint_data(flow, seq, self.now) else {
-                // Vacated flow slot (cannot happen between a handler and
-                // its effect application; defensive).
-                continue;
-            };
-            if let Some(aud) = self.audit.as_deref_mut() {
-                aud.offered += 1;
-            }
-            self.enqueue_on(lid, pkt);
-        }
-    }
-
-    /// The shared enqueue tail of [`SimCore::transmit`] and
-    /// [`SimCore::send_burst`]: hands `pkt` to `lid`'s serializer and
-    /// performs the per-packet wire/drop accounting.
-    fn enqueue_on(&mut self, lid: LinkId, pkt: Packet) {
         let kind = traffic_kind(&pkt);
         let size = pkt.size_bytes;
         let id = pkt.id;

@@ -41,12 +41,9 @@ pub trait RoutingSystem: Send + Sync {
 
     /// Installs this system's switch logic on every switch of `sim`.
     ///
-    /// Installation is always object-typed: `sim` here is the
-    /// [`Simulator`] alias (`SimCore<Box<dyn SwitchLogic>>`), so any
-    /// switch-logic type installs without the trait knowing about it.
-    /// The experiment layer devirtualizes afterwards by repacking the
-    /// installed boxes into a static-dispatch enum via
-    /// [`crate::SimCore::map_logics`].
+    /// Installation is object-typed: each switch gets a
+    /// `Box<dyn SwitchLogic>`, so any switch-logic type installs without
+    /// the trait or the engine knowing about it.
     fn install(&self, sim: &mut Simulator, ctx: &InstallCtx<'_>) -> Result<(), InstallError>;
 
     /// The Contra policy source this system routes by, if it is
@@ -106,12 +103,30 @@ pub enum InstallError {
     },
     /// A run setting that must be a positive interval is zero: a zero
     /// queue-sampling period would re-post its sample at the same
-    /// instant forever, a zero estimator window has no rate, and a zero
-    /// UDP bucket divides by zero when converted to Gbps.
+    /// instant forever, a zero estimator window has no rate, a zero UDP
+    /// bucket divides by zero when converted to Gbps, and a zero minimum
+    /// RTO backs off from 0 to 0, re-firing its timeout at the same
+    /// instant forever.
     ZeroInterval {
         /// The setting, by its scenario builder name (`queue_sampling`,
-        /// `util_tau` or `udp_bucket`).
+        /// `util_tau`, `udp_bucket` or `min_rto`).
         setting: &'static str,
+    },
+    /// A fault names a node the scenario's topology does not have.
+    UnknownNode {
+        /// The scenario's label.
+        scenario: String,
+        /// The name that matched no node.
+        name: String,
+    },
+    /// A cable fault names two nodes with no cable between them.
+    NoCable {
+        /// The scenario's label.
+        scenario: String,
+        /// One end, by name.
+        a: String,
+        /// The other end, by name.
+        b: String,
     },
 }
 
@@ -127,6 +142,12 @@ impl std::fmt::Display for InstallError {
             InstallError::ZeroInterval { setting } => {
                 write!(f, "{setting} must be a positive interval, not 0")
             }
+            InstallError::UnknownNode { scenario, name } => {
+                write!(f, "scenario {scenario}: no node named {name:?}")
+            }
+            InstallError::NoCable { scenario, a, b } => {
+                write!(f, "scenario {scenario}: no cable between {a:?} and {b:?}")
+            }
         }
     }
 }
@@ -135,7 +156,7 @@ impl std::error::Error for InstallError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             InstallError::Compile { error, .. } => Some(error),
-            InstallError::Unsupported { .. } | InstallError::ZeroInterval { .. } => None,
+            _ => None,
         }
     }
 }

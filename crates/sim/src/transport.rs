@@ -29,11 +29,7 @@
 //!
 //! The transport also mints packet ids: it is the only packet creator
 //! that needs global uniqueness (probes are switch-local and carry id 0).
-//! Window-opening sends are normally emitted as one described
-//! [`TransportEffect::SendBurst`]; the engine mints the packets at apply
-//! time through [`Transport::mint_data`], preserving the exact id
-//! sequence of per-packet emission because effects apply immediately
-//! after the only other minting handlers return.
+//! Every segment goes out as its own [`TransportEffect::Send`].
 
 use crate::packet::{flow_hash, FlowId, Packet, PacketKind, HDR_BYTES, INITIAL_TTL, MSS};
 use crate::stats::{FlowRecord, SimStats};
@@ -103,25 +99,6 @@ pub enum TransportEffect {
         via: NodeId,
         /// The packet.
         pkt: Packet,
-    },
-    /// Transmit the `count` consecutive data segments starting at
-    /// `first_seq` of `flow` from host `src` onto its access link toward
-    /// `via`. The burst is *described*, not materialized: the engine
-    /// mints each packet via [`Transport::mint_data`] while applying the
-    /// effect, so a whole cwnd's worth of window-opening sends costs one
-    /// effect-buffer entry and one access-link resolution instead of
-    /// per-packet effect churn.
-    SendBurst {
-        /// Flow slot index.
-        flow: u32,
-        /// Originating host.
-        src: NodeId,
-        /// First-hop switch (the host's access switch).
-        via: NodeId,
-        /// Sequence number of the first segment in the burst.
-        first_seq: u32,
-        /// Number of consecutive segments.
-        count: u32,
     },
     /// Arm a timer at `at`.
     Timer {
@@ -265,21 +242,16 @@ pub struct Transport {
     flows: FlowArena,
     min_rto: Time,
     init_cwnd: f64,
-    burst: bool,
     next_pkt_id: u64,
 }
 
 impl Transport {
-    /// A transport with no flows. `burst` selects whether window-opening
-    /// sends are emitted as one [`TransportEffect::SendBurst`] (the
-    /// default) or as per-packet [`TransportEffect::Send`]s (the
-    /// historical path, kept as a differential oracle).
-    pub fn new(min_rto: Time, init_cwnd: f64, burst: bool) -> Transport {
+    /// A transport with no flows.
+    pub fn new(min_rto: Time, init_cwnd: f64) -> Transport {
         Transport {
             flows: FlowArena::default(),
             min_rto,
             init_cwnd,
-            burst,
             next_pkt_id: 0,
         }
     }
@@ -516,8 +488,6 @@ impl Transport {
                 let (src, dst, dst_sw, via, hash) =
                     (f.src, f.dst, f.dst_switch, f.src_switch, f.hash_fwd);
                 let size = data_size(f, seq);
-                // The retransmitted hole is a single segment, never a
-                // burst: it goes out as a plain `Send`.
                 let pkt = mk_packet(
                     &mut self.next_pkt_id,
                     PacketKind::Data,
@@ -593,33 +563,8 @@ impl Transport {
         });
     }
 
-    /// Mints one in-window data segment of a burst while the engine
-    /// applies a [`TransportEffect::SendBurst`]. Returns `None` for a
-    /// vacated slot (unreachable in practice: effects apply immediately
-    /// after the handler that emitted them).
-    pub fn mint_data(&mut self, flow: u32, seq: u32, now: Time) -> Option<Packet> {
-        let f = self.flows.get(flow)?;
-        let size = data_size(f, seq);
-        let (src, dst, dst_sw, hash) = (f.src, f.dst, f.dst_switch, f.hash_fwd);
-        Some(mk_packet(
-            &mut self.next_pkt_id,
-            PacketKind::Data,
-            flow,
-            seq,
-            size,
-            src,
-            dst,
-            dst_sw,
-            hash,
-            now,
-        ))
-    }
-
-    /// Sends as much as the window allows. The window arithmetic is
-    /// analytic — `count = min(total - next_seq, floor(cwnd).max(1) -
-    /// inflight)` — which is exactly what the historical
-    /// one-`Send`-per-iteration loop converged to, since every emitted
-    /// segment grew `inflight` by one.
+    /// Sends as much as the window allows, one `Send` per segment:
+    /// `count = min(total - next_seq, floor(cwnd).max(1) - inflight)`.
     fn tcp_try_send(&mut self, flow: u32, now: Time, fx: &mut TransportFx) {
         let Some(f) = self.flows.get_mut(flow) else {
             return;
@@ -636,31 +581,21 @@ impl Transport {
         let first_seq = f.next_seq;
         f.next_seq = first_seq + count;
         let (src, dst, dst_sw, via, hash) = (f.src, f.dst, f.dst_switch, f.src_switch, f.hash_fwd);
-        if self.burst {
-            fx.push(TransportEffect::SendBurst {
+        for seq in first_seq..first_seq + count {
+            let size = data_size(f, seq);
+            let pkt = mk_packet(
+                &mut self.next_pkt_id,
+                PacketKind::Data,
                 flow,
+                seq,
+                size,
                 src,
-                via,
-                first_seq,
-                count,
-            });
-        } else {
-            for seq in first_seq..first_seq + count {
-                let size = data_size(f, seq);
-                let pkt = mk_packet(
-                    &mut self.next_pkt_id,
-                    PacketKind::Data,
-                    flow,
-                    seq,
-                    size,
-                    src,
-                    dst,
-                    dst_sw,
-                    hash,
-                    now,
-                );
-                fx.push(TransportEffect::Send { src, via, pkt });
-            }
+                dst,
+                dst_sw,
+                hash,
+                now,
+            );
+            fx.push(TransportEffect::Send { src, via, pkt });
         }
     }
 
@@ -754,7 +689,7 @@ mod tests {
     fn arena_grows_then_reuses_retired_slots() {
         let topo = two_host_topo();
         let mut stats = SimStats::default();
-        let mut t = Transport::new(Time::ms(1), 10.0, true);
+        let mut t = Transport::new(Time::ms(1), 10.0);
         let (a, a_gen, _, _) = t.add_flow(tcp_spec(&topo, 1000), &topo, &mut stats);
         let (b, b_gen, _, _) = t.add_flow(tcp_spec(&topo, 1000), &topo, &mut stats);
         assert_eq!((a.0, a_gen), (0, 0));
@@ -776,7 +711,7 @@ mod tests {
     fn stale_generation_timers_are_no_ops() {
         let topo = two_host_topo();
         let mut stats = SimStats::default();
-        let mut t = Transport::new(Time::ms(1), 10.0, true);
+        let mut t = Transport::new(Time::ms(1), 10.0);
         let (a, a_gen, _, _) = t.add_flow(tcp_spec(&topo, 100_000), &topo, &mut stats);
         let mut fx = TransportFx::new();
         t.start_flow(a.0, a_gen, Time(0), &mut fx);
@@ -802,54 +737,5 @@ mod tests {
             "new occupant untouched by the old flow's timers"
         );
         let _ = (armed, b_gen);
-    }
-
-    #[test]
-    fn burst_and_single_send_describe_identical_packets() {
-        let topo = two_host_topo();
-        // Run start_flow under both emission modes and compare the
-        // concrete packets: the burst must *describe* exactly the
-        // packets the per-send loop materializes.
-        let mut stats1 = SimStats::default();
-        let mut single = Transport::new(Time::ms(1), 4.0, false);
-        let (f1, g1, _, _) = single.add_flow(tcp_spec(&topo, 10_000), &topo, &mut stats1);
-        let mut fx1 = TransportFx::new();
-        single.start_flow(f1.0, g1, Time(0), &mut fx1);
-
-        let mut stats2 = SimStats::default();
-        let mut burst = Transport::new(Time::ms(1), 4.0, true);
-        let (f2, g2, _, _) = burst.add_flow(tcp_spec(&topo, 10_000), &topo, &mut stats2);
-        let mut fx2 = TransportFx::new();
-        burst.start_flow(f2.0, g2, Time(0), &mut fx2);
-
-        let singles: Vec<Packet> = fx1
-            .iter()
-            .filter_map(|e| match e {
-                TransportEffect::Send { pkt, .. } => Some(pkt.clone()),
-                _ => None,
-            })
-            .collect();
-        let described: Vec<Packet> = fx2
-            .iter()
-            .flat_map(|e| match e {
-                TransportEffect::SendBurst {
-                    flow,
-                    first_seq,
-                    count,
-                    ..
-                } => (*first_seq..*first_seq + *count)
-                    .map(|seq| burst.mint_data(*flow, seq, Time(0)).unwrap())
-                    .collect::<Vec<_>>(),
-                _ => Vec::new(),
-            })
-            .collect();
-        assert_eq!(singles.len(), 4, "init_cwnd=4 opens four segments");
-        assert_eq!(singles.len(), described.len());
-        for (a, b) in singles.iter().zip(described.iter()) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-        // Both modes also arm exactly one RTO timer, last.
-        assert!(matches!(fx1.last(), Some(TransportEffect::Timer { .. })));
-        assert!(matches!(fx2.last(), Some(TransportEffect::Timer { .. })));
     }
 }
